@@ -43,7 +43,7 @@ fn main() {
         "Hk", "analyzer (dBc)", "analyzer band (dBc)", "scope (dBc)"
     );
     for (h, scope_dbc) in [(2u32, scope.harmonics_dbc[0]), (3, scope.harmonics_dbc[1])] {
-        let hd = report.hd_dbc(h);
+        let hd = report.hd_dbc(h).expect("H2 and H3 are measured");
         println!(
             "{:>4} {:>22.2} [{:>10.2}, {:>10.2}] {:>12.2}",
             h, hd.est, hd.lo, hd.hi, scope_dbc
@@ -59,8 +59,9 @@ fn main() {
         report.thd_db(),
         scope.thd_db
     );
-    let d2 = (report.hd_dbc(2).est - scope.harmonics_dbc[0]).abs();
-    let d3 = (report.hd_dbc(3).est - scope.harmonics_dbc[1]).abs();
+    let hd = |h| report.hd_dbc(h).expect("H2 and H3 are measured").est;
+    let d2 = (hd(2) - scope.harmonics_dbc[0]).abs();
+    let d3 = (hd(3) - scope.harmonics_dbc[1]).abs();
     println!("\nagreement: ΔH2 = {d2:.2} dB, ΔH3 = {d3:.2} dB (paper: \"excellent\")");
     println!(
         "shape checks (paper): H2/H3 in the −56…−66 dBc window and the\n\

@@ -1,35 +1,24 @@
-//! Checkpoint/resume for sharded lot runs.
+//! Sharded lot runs: the shard/budget driver and checkpoint/resume.
 //!
-//! A wafer-scale lot (ROADMAP: 10⁵–10⁶ devices) cannot assume it
-//! finishes in one process lifetime. [`LotCheckpoint`] drives a lot as
-//! a sequence of fixed-size seed shards ([`LotEngine::run_range`] /
-//! [`LotEngine::run_escalated_range`]), persisting each completed
-//! shard's partial `netan.lot.v4` document under a directory and
-//! merging everything — loaded and freshly run alike — with
-//! [`LotReport::merge`] in seed order.
+//! [`ShardDrive`] is the one place a sharded lot's ledger is threaded:
+//! it splits the lot into fixed-size seed shards, hands each shard the
+//! budget the merged shards left over (`global − Σ observed spend`,
+//! read off [`LotReport::spent`]), merges shards in seed order with
+//! [`LotReport::merge`] whatever order they finish in, and re-brands
+//! the merged lot to the one global budget. [`LotCheckpoint`] steps it
+//! synchronously; the `netan-serve` worker pool steps it concurrently,
+//! so both produce the same bytes by construction.
 //!
-//! Restarting the same drive resumes from the highest complete seed
-//! index on disk: every shard whose document is present, parseable and
-//! span-matched is loaded instead of re-run; anything missing, torn or
-//! stale is simply measured again. Because `netan.lot.v4` re-renders
-//! parsed documents byte for byte
-//! ([`parse_lot_json`]), an interrupted
-//! and resumed lot produces the **identical** final document an
-//! uninterrupted run would have — the resume-equality guarantee the
-//! property suite and the lot bench assert.
-//!
-//! A budgeted escalation schedule is threaded through the shards as a
-//! **global** budget: each shard runs with whatever the earlier shards
-//! left over, `global − Σ observed spend so far`, where the spend is
-//! read off the merged observed-cost ledger
-//! ([`LotReport::spent`]). Loaded checkpoints contribute their
-//! persisted ledgers exactly like freshly run shards, so the remaining
-//! budget every shard sees — and therefore which devices its re-tests
-//! admit — is identical across kill-and-resume.
-//!
-//! Shard files are written atomically (temp file + rename), so a crash
-//! mid-write leaves at worst an ignorable torn temp file, never a
-//! corrupt checkpoint.
+//! [`LotCheckpoint`] persists each completed shard's `netan.lot.v4`
+//! document under a directory, written atomically (temp file + rename)
+//! so a crash leaves at worst an ignorable temp file. Restarting the
+//! same drive loads every shard whose document is present, parseable
+//! and span-matched, and measures anything missing, torn or stale
+//! again. Because `netan.lot.v4` re-renders parsed documents byte for
+//! byte ([`parse_lot_json`]) and loaded shards contribute their
+//! persisted ledgers like fresh ones, an interrupted and resumed lot
+//! produces the **identical** document an uninterrupted run would have,
+//! budgeted or not.
 
 use crate::analyzer::AnalyzerConfig;
 use crate::error::NetanError;
@@ -37,6 +26,7 @@ use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport, ShardSpan};
 use crate::report::{lot_json, parse_lot_json};
 use dut::Dut;
 use mixsig::units::Seconds;
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -169,13 +159,13 @@ impl LotCheckpoint {
     }
 
     /// Drives `lot` through `engine.run_range` shard by shard,
-    /// persisting and resuming as described on the type.
+    /// persisting and resuming as described on the type: exactly
+    /// [`run_escalated`](Self::run_escalated) with the one-stage,
+    /// unbudgeted schedule `[config]`.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Lot`] for engine failures (including an empty
-    /// `lot`), [`CheckpointError::Io`] if a shard document cannot be
-    /// persisted.
+    /// As [`run_escalated`](Self::run_escalated).
     pub fn run<D, F>(
         &self,
         engine: &LotEngine,
@@ -188,30 +178,23 @@ impl LotCheckpoint {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        self.drive(lot, plan, |span, _spent| {
-            engine.run_range(&factory, span, plan, config)
-        })
+        let schedule = EscalationSchedule::new(vec![config]);
+        self.run_escalated(engine, factory, lot, plan, &schedule)
     }
 
     /// Drives `lot` through `engine.run_escalated_range` shard by
-    /// shard. The schedule's budget (if any) is treated as **global**:
-    /// each shard runs under the remainder `global − Σ observed spend`
-    /// of every earlier shard, loaded checkpoints included, read off
-    /// the merged observed-cost ledger — see the
-    /// [sharding notes](crate::lot#sharding). Resume-equality to an
-    /// uninterrupted drive holds budgeted or not (the remaining budget
-    /// is recomputed from the persisted ledgers); byte-identity to a
-    /// monolithic `run_escalated` holds for unbudgeted schedules, while
-    /// a budgeted sharded drive stays deterministic but may admit a
-    /// different re-test prefix than the monolithic global one. The
-    /// final merged report carries the global budget, not the sum of
-    /// the per-shard remainders.
+    /// shard, stepping a [`ShardDrive`] synchronously: a budget is
+    /// global, each shard running on what the merged shards, loaded
+    /// checkpoints included, left over. Resume-equality holds budgeted
+    /// or not; byte-identity to a monolithic `run_escalated` holds for
+    /// unbudgeted schedules (see the [sharding notes](crate::lot#sharding)).
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run), plus every `run_escalated` error — in
-    /// particular [`NetanError::BudgetExhausted`] when the remaining
-    /// global budget cannot cover a shard's screening pass.
+    /// [`CheckpointError::Io`] if a shard document cannot be persisted;
+    /// [`CheckpointError::Lot`] for engine failures, such as an empty
+    /// `lot` or a remaining global budget that cannot cover a shard's
+    /// screening pass ([`NetanError::BudgetExhausted`]).
     pub fn run_escalated<D, F>(
         &self,
         engine: &LotEngine,
@@ -224,82 +207,37 @@ impl LotCheckpoint {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let global = schedule.budget();
-        let report = self.drive(lot, plan, |span, spent| {
-            let shard_schedule = match global {
-                Some(b) => schedule
-                    .clone()
-                    .with_budget(Seconds((b.value() - spent.value()).max(0.0))),
-                None => schedule.clone(),
-            };
-            engine.run_escalated_range(&factory, span, plan, &shard_schedule)
-        })?;
-        // Each shard document answers for the budget that remained when
-        // it ran; the merged lot answers for the one global budget.
-        Ok(match global {
-            Some(b) => {
-                let exhausted = report.budget_exhausted();
-                report.with_budget(Some(b), exhausted)
-            }
-            None => report,
-        })
-    }
-
-    fn drive(
-        &self,
-        lot: Range<u64>,
-        plan: &LotPlan,
-        run_shard: impl Fn(Range<u64>, Seconds) -> Result<LotReport, NetanError>,
-    ) -> Result<LotReport, CheckpointError> {
         if lot.start >= lot.end {
             return Err(CheckpointError::Lot(NetanError::EmptyLot));
         }
-        // The empty report is a merge identity, so seeding the fold with
-        // it keeps the loop total without an "at least one shard"
-        // assertion — the non-empty `lot` guard above guarantees at
-        // least one real shard is merged in.
-        let mut merged = LotReport::empty(plan);
+        let mut drive = ShardDrive::new(lot, self.shard_devices, plan, schedule);
         let mut fresh = 0usize;
-        let mut start = lot.start;
-        while start < lot.end {
-            let end = lot.end.min(start.saturating_add(self.shard_devices));
-            let span = start..end;
-            // Observed spend of everything merged so far — what earlier
-            // shards (loaded or fresh) charged against a global budget.
-            let spent = merged.spent();
+        while let Some(span) = drive.next_span() {
             let report = match self.load_shard(&span, plan) {
                 Some(loaded) => loaded,
+                // Deterministic halt: hand back the merged prefix,
+                // marked as the incomplete prefix of the intended lot.
+                None if self.shard_limit.is_some_and(|limit| fresh >= limit) => break,
                 None => {
-                    if self.shard_limit.is_some_and(|limit| fresh >= limit) {
-                        // Deterministic halt: hand back what is merged
-                        // so far, marked as the incomplete prefix of
-                        // the intended lot.
-                        return Ok(merged.with_shard(ShardSpan {
-                            seed_start: lot.start,
-                            seed_end: lot.end,
-                            complete: false,
-                        }));
-                    }
-                    let ran = run_shard(span.clone(), spent)?;
+                    let schedule = drive.shard_schedule();
+                    let ran =
+                        engine.run_escalated_range(&factory, span.clone(), plan, &schedule)?;
                     self.persist_shard(&span, &ran)?;
                     fresh += 1;
                     ran
                 }
             };
-            merged = merged.merge(report);
-            start = end;
+            drive.record(span, report, ());
+            drive.merge_ready();
         }
-        Ok(merged)
+        Ok(drive.finish())
     }
 
     /// Loads the persisted shard covering `span`, or `None` when it
     /// must be (re-)measured: file absent or unreadable, document
     /// unparseable (e.g. a torn write), span/mask mismatched, or not
-    /// marked complete.
-    ///
-    /// Public so external drivers (e.g. the `netan-serve` screening
-    /// service) can resume from the same shard documents this type
-    /// writes.
+    /// marked complete. External drivers such as `netan-serve` resume
+    /// from the same documents through it.
     pub fn load_shard(&self, span: &Range<u64>, plan: &LotPlan) -> Option<LotReport> {
         let text = std::fs::read_to_string(self.shard_path(span)).ok()?;
         let report = parse_lot_json(&text).ok()?;
@@ -313,10 +251,6 @@ impl LotCheckpoint {
 
     /// Persists a completed shard document atomically: written to a
     /// sibling temp file, then renamed into place.
-    ///
-    /// Public for the same reason as [`load_shard`](Self::load_shard):
-    /// external drivers persisting shards they ran themselves get the
-    /// identical naming and atomic-write discipline.
     pub fn persist_shard(
         &self,
         span: &Range<u64>,
@@ -332,6 +266,173 @@ impl LotCheckpoint {
         std::fs::write(&tmp, format!("{}\n", lot_json(report))).map_err(io_err(&tmp))?;
         std::fs::rename(&tmp, &path).map_err(io_err(&path))?;
         Ok(())
+    }
+}
+
+/// A lot's shard spans in seed order, produced lazily: `shard_devices`
+/// seeds each (at least 1), the last span possibly smaller. No span
+/// list is ever built, so 2⁶⁴ one-device shards cost nothing to count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardSpans {
+    rest: Range<u64>,
+    shard_devices: u64,
+}
+
+impl ShardSpans {
+    /// The spans tiling `lot` in shards of `shard_devices` seeds.
+    pub fn new(lot: Range<u64>, shard_devices: u64) -> Self {
+        Self {
+            rest: lot,
+            shard_devices: shard_devices.max(1),
+        }
+    }
+
+    /// How many spans are left, in O(1).
+    pub fn shard_count(&self) -> u64 {
+        let len = self.rest.end.saturating_sub(self.rest.start);
+        len.div_ceil(self.shard_devices)
+    }
+}
+
+impl Iterator for ShardSpans {
+    type Item = Range<u64>;
+
+    fn next(&mut self) -> Option<Range<u64>> {
+        let start = self.rest.start;
+        if start >= self.rest.end {
+            return None;
+        }
+        let end = self.rest.end.min(start.saturating_add(self.shard_devices));
+        self.rest.start = end;
+        Some(start..end)
+    }
+}
+
+/// The one shard/budget driver of a sharded lot (see the
+/// [module docs](self)). `T` tags each recorded shard (the service
+/// marks resumed shards with it) and comes back out of
+/// [`merge_ready`](Self::merge_ready) with the shard's span.
+#[derive(Debug, Clone)]
+pub struct ShardDrive<T = ()> {
+    lot: Range<u64>,
+    shard_devices: u64,
+    schedule: EscalationSchedule,
+    /// The merged prefix `lot.start..frontier`.
+    merged: LotReport,
+    frontier: u64,
+    /// First seed [`dispatch`](Self::dispatch) has not handed out.
+    dispatched: u64,
+    /// Recorded shards waiting for their turn to merge, by first seed.
+    ready: BTreeMap<u64, (Range<u64>, LotReport, T)>,
+}
+
+impl<T> ShardDrive<T> {
+    /// A drive over `lot` in shards of `shard_devices` seeds, screening
+    /// against `plan` under `schedule`, whose budget (if any) is global.
+    pub fn new(
+        lot: Range<u64>,
+        shard_devices: u64,
+        plan: &LotPlan,
+        schedule: &EscalationSchedule,
+    ) -> Self {
+        Self {
+            frontier: lot.start,
+            dispatched: lot.start,
+            lot,
+            shard_devices,
+            schedule: schedule.clone(),
+            merged: LotReport::empty(plan),
+            ready: BTreeMap::new(),
+        }
+    }
+
+    /// How many shards the lot splits into, in O(1).
+    pub fn shard_count(&self) -> u64 {
+        ShardSpans::new(self.lot.clone(), self.shard_devices).shard_count()
+    }
+
+    /// The span at the merge frontier, `None` once the lot has merged.
+    pub fn next_span(&self) -> Option<Range<u64>> {
+        ShardSpans::new(self.frontier..self.lot.end, self.shard_devices).next()
+    }
+
+    /// Hands out the spans that may run now. Unbudgeted shards are
+    /// independent: the first call yields them all. A budgeted shard
+    /// runs on what the merged prefix left over: one span per call,
+    /// once every earlier shard has merged.
+    pub fn dispatch(&mut self) -> ShardSpans {
+        let end = match self.schedule.budget() {
+            None => self.lot.end,
+            Some(_) if self.dispatched == self.frontier => {
+                self.next_span().map_or(self.frontier, |span| span.end)
+            }
+            Some(_) => self.dispatched,
+        };
+        let spans = ShardSpans::new(self.dispatched..end, self.shard_devices);
+        self.dispatched = end;
+        spans
+    }
+
+    /// The schedule the next shard runs under: a budget becomes the
+    /// remainder `global − merged.spent()`, floored at 0.
+    pub fn shard_schedule(&self) -> EscalationSchedule {
+        match self.schedule.budget() {
+            Some(global) => {
+                let left = (global.value() - self.merged.spent().value()).max(0.0);
+                self.schedule.clone().with_budget(Seconds(left))
+            }
+            None => self.schedule.clone(),
+        }
+    }
+
+    /// Records a finished shard the drive handed out, in any order.
+    pub fn record(&mut self, span: Range<u64>, report: LotReport, tag: T) {
+        self.ready.insert(span.start, (span, report, tag));
+    }
+
+    /// Merges the recorded shard at the frontier, if any, returning its
+    /// span and tag; call until `None` to merge in seed order.
+    pub fn merge_ready(&mut self) -> Option<(Range<u64>, T)> {
+        let (span, report, tag) = self.ready.remove(&self.frontier)?;
+        let identity = LotReport::new(self.merged.mask().clone(), Vec::new());
+        self.merged = std::mem::replace(&mut self.merged, identity).merge(report);
+        self.frontier = span.end;
+        Some((span, tag))
+    }
+
+    /// The merged prefix of the lot.
+    pub fn merged(&self) -> &LotReport {
+        &self.merged
+    }
+
+    /// How many shards have merged.
+    pub fn merged_shards(&self) -> u64 {
+        ShardSpans::new(self.lot.start..self.frontier, self.shard_devices).shard_count()
+    }
+
+    /// Whether the whole lot has merged.
+    pub fn is_complete(&self) -> bool {
+        self.frontier >= self.lot.end
+    }
+
+    /// The merged report, answering for the one global budget rather
+    /// than the per-shard remainders. A drive stopped early marks the
+    /// intended span `complete: false`.
+    pub fn finish(self) -> LotReport {
+        let complete = self.is_complete();
+        let mut report = self.merged;
+        if let Some(global) = self.schedule.budget() {
+            let exhausted = report.budget_exhausted();
+            report = report.with_budget(Some(global), exhausted);
+        }
+        if !complete {
+            report = report.with_shard(ShardSpan {
+                seed_start: self.lot.start,
+                seed_end: self.lot.end,
+                complete: false,
+            });
+        }
+        report
     }
 }
 
@@ -500,6 +601,62 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    #[test]
+    fn drive_merges_out_of_order_shards_like_an_in_order_feed() {
+        let plan = plan();
+        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 100]);
+        let spans: Vec<_> = ShardSpans::new(0..5, 2).collect();
+        assert_eq!(spans, [0..2, 2..4, 4..5]);
+        let run = |span| LotEngine::serial().run_escalated_range(factory, span, &plan, &schedule);
+        let shards: Vec<_> = spans.iter().map(|s| run(s.clone()).unwrap()).collect();
+        let feed = |order: &[usize]| {
+            let mut drive = ShardDrive::new(0..5, 2, &plan, &schedule);
+            let mut merged = Vec::new();
+            for &i in order {
+                drive.record(spans[i].clone(), shards[i].clone(), i);
+                while let Some((span, i)) = drive.merge_ready() {
+                    assert_eq!(span, spans[i]);
+                    merged.push(span);
+                }
+            }
+            assert!(drive.is_complete());
+            (merged, lot_json(&drive.finish()))
+        };
+        let in_order = feed(&[0, 1, 2]);
+        assert_eq!(in_order.0, spans);
+        assert_eq!(feed(&[2, 0, 1]), in_order);
+        assert_eq!(feed(&[1, 2, 0]), in_order);
+        assert_eq!(in_order.1, lot_json(&run(0..5).unwrap()));
+    }
+
+    #[test]
+    fn drive_dispatches_budgeted_shards_one_at_a_time_under_the_remainder() {
+        let plan = plan();
+        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50]);
+        let mut free: ShardDrive = ShardDrive::new(0..5, 2, &plan, &schedule);
+        let all: Vec<_> = free.dispatch().collect();
+        assert_eq!(all, [0..2, 2..4, 4..5]);
+        assert_eq!(free.dispatch().next(), None);
+
+        // A budget smaller than the first shard's spend leaves 0, not less.
+        let global = Seconds(1e-3);
+        let budgeted = schedule.clone().with_budget(global);
+        let mut drive: ShardDrive = ShardDrive::new(0..5, 2, &plan, &budgeted);
+        assert_eq!(drive.dispatch().collect::<Vec<_>>(), all[..1]);
+        assert_eq!(drive.dispatch().next(), None, "one shard outstanding");
+        assert_eq!(drive.shard_schedule().budget(), Some(global));
+        let first = LotEngine::serial().run_range(factory, 0..2, &plan, schedule.stages()[0]);
+        drive.record(0..2, first.unwrap(), ());
+        assert_eq!(drive.merge_ready(), Some((0..2, ())));
+        assert_eq!(drive.dispatch().collect::<Vec<_>>(), all[1..2]);
+        assert_eq!(drive.shard_schedule().budget(), Some(Seconds(0.0)));
+
+        // A lot of 2⁶⁴ − 1 one-device shards is counted, not built.
+        let huge: ShardDrive = ShardDrive::new(0..u64::MAX, 1, &plan, &schedule);
+        assert_eq!(huge.shard_count(), u64::MAX);
+        assert_eq!(huge.next_span(), Some(0..1));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! (`netan.job.v1`) reuses the same machinery for its request,
 //! progress and result frames.
 //!
-//! Parsing never panics: every malformed input is a typed
-//! [`ReportParseError`] carrying the byte offset where the parser
-//! stopped.
+//! Parsing never panics: every malformed input, nesting deeper than
+//! [`MAX_DEPTH`] included, is a typed [`ReportParseError`] carrying the
+//! byte offset where the parser stopped.
 
 /// Error from parsing a `netan.*` JSON document: what went wrong and
 /// the byte offset in the document where the parser detected it (0 for
@@ -82,6 +82,11 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// `netan.*` document nests fewer than 8 levels; the cap keeps the
+/// recursive descent from overflowing the stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -116,15 +121,19 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ReportParseError> {
+    /// Parses one value nested inside `depth` open arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, ReportParseError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
             Some(b'n') if self.eat("null") => Ok(Json::Null),
             Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+                self.fail(format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.fail("expected a JSON value"),
         }
@@ -214,7 +223,7 @@ impl JsonParser<'_> {
         Ok(Json::Num(token.to_string()))
     }
 
-    fn array(&mut self) -> Result<Json, ReportParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ReportParseError> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -222,7 +231,7 @@ impl JsonParser<'_> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             if self.eat("]") {
                 return Ok(Json::Arr(items));
@@ -231,7 +240,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ReportParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ReportParseError> {
         self.expect_byte(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -243,7 +252,7 @@ impl JsonParser<'_> {
             let key = self.string()?;
             self.skip_ws();
             self.expect_byte(b':')?;
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             if self.eat("}") {
                 return Ok(Json::Obj(fields));
@@ -266,7 +275,7 @@ impl Json {
             bytes: text.as_bytes(),
             pos: 0,
         };
-        let doc = parser.value()?;
+        let doc = parser.value(0)?;
         parser.skip_ws();
         if parser.pos != parser.bytes.len() {
             return parser.fail("trailing content after the document");
@@ -421,6 +430,17 @@ mod tests {
         let err = Json::parse("[1,@]").unwrap_err();
         assert_eq!(err.offset, 3);
         assert!(err.to_string().contains("byte 3"));
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_a_typed_error() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

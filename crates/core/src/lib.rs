@@ -38,8 +38,8 @@
 //!   with **checkpoint/resume** ([`LotCheckpoint`]): a lot split into
 //!   seed ranges merges back byte-identical to the monolithic run, an
 //!   interrupted drive resumes from its persisted `netan.lot.v4` shard
-//!   documents, and a budgeted drive threads the remaining global
-//!   budget through successive shards off the observed ledger,
+//!   documents, and one [`ShardDrive`] threads the remaining global
+//!   budget through the shards off the observed ledger,
 //! * a **harmonic distortion** mode (paper Fig. 10c), serial or parallel
 //!   per harmonic,
 //! * **report sinks**: tables, CSV and JSON for Bode plots and lot
@@ -80,7 +80,7 @@ pub mod sweep;
 
 pub use adaptive::{interpolate_gain_db, reconstruction_error_db, AdaptiveSweep, RefinementPolicy};
 pub use analyzer::{AnalyzerConfig, BodePoint, Calibration, HardwareProfile, NetworkAnalyzer};
-pub use checkpoint::{CheckpointError, LotCheckpoint};
+pub use checkpoint::{CheckpointError, LotCheckpoint, ShardDrive, ShardSpans};
 pub use engine::SweepEngine;
 pub use error::NetanError;
 pub use harmonics::DistortionReport;

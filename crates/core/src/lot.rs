@@ -40,19 +40,10 @@
 //! deeper stage can only *narrow* an enclosure around the same truth, so
 //! a decided `Pass`/`Fail` is never re-tested and never flips.
 //!
-//! How a device's acquisition grows across stages is the
-//! [`StoppingPolicy`]:
-//!
-//! * [`StoppingPolicy::Staged`] re-inserts the device per stage — every
-//!   re-test is a fresh acquisition charged at the full stage `M`;
-//! * [`StoppingPolicy::Sequential`] keeps the device on the tester and
-//!   **continues** the acquisition — the simulation is deterministic, so
-//!   re-measuring at a deeper `M` reproduces exactly the accumulator
-//!   state a continued acquisition would hold, and only the *increment*
-//!   `M_s − M_{s−1}` is charged. Each device grows its own `M` only
-//!   until its verdict decides (SPRT-style sequential testing); verdicts
-//!   and stopping stages are identical to `Staged`, the observed spend is
-//!   strictly smaller whenever anything escalates.
+//! How a device's acquisition grows across stages, and what each
+//! re-test is charged, is the [`StoppingPolicy`]. A plain
+//! [`LotEngine::run`] is the one-stage schedule: there is one lot
+//! pipeline.
 //!
 //! # Budgets: the observed-cost ledger
 //!
@@ -81,21 +72,19 @@
 //! adjacent shards into the byte-identical report one monolithic run
 //! would have produced, with [`LotReport::empty`] as the identity.
 //! Shard provenance travels as a [`ShardSpan`] through the
-//! `netan.lot.v4` JSON schema, which is what the
-//! [`checkpoint`](crate::checkpoint) driver persists per shard and
-//! resumes a lot from after an interruption.
+//! `netan.lot.v4` JSON schema.
 //!
-//! Budgets under sharding: a budgeted schedule admits re-tests against
-//! the lot-global observed ledger, which a single shard cannot see, so
-//! one shard in isolation still budgets per shard. But because the
-//! ledger is *observed*, a sequential shard driver — the
-//! [`checkpoint`](crate::checkpoint) drive — can thread the remaining
-//! global budget into each successive shard (each shard's persisted
-//! report carries its observed spend), giving a sharded lot a
-//! global-style budget answer with deterministic kill-and-resume.
-//! Byte-identity to a monolithic run holds for unbudgeted schedules
-//! (and plain runs); budgeted sharded lots are deterministic but admit
-//! re-tests at shard boundaries a monolithic ledger would interleave.
+//! Budgets under sharding: one shard in isolation budgets per shard, as
+//! it cannot see the lot-global ledger. Because the ledger is
+//! *observed*, [`ShardDrive`](crate::checkpoint::ShardDrive) — the one
+//! place a sharded lot's ledger is threaded, stepped by the
+//! [`LotCheckpoint`](crate::checkpoint::LotCheckpoint) drive and by
+//! `netan-serve` — hands each shard the remaining global budget,
+//! giving a sharded lot a global-style budget answer with deterministic
+//! kill-and-resume. Byte-identity to a monolithic run holds for
+//! unbudgeted schedules (and plain runs); budgeted sharded lots are
+//! deterministic but admit re-tests at shard boundaries a monolithic
+//! ledger would interleave.
 
 use crate::adaptive::{AdaptiveSweep, RefinementPolicy};
 use crate::analyzer::{AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
@@ -315,17 +304,6 @@ impl EscalationSchedule {
     #[must_use]
     pub fn with_budget(mut self, budget: Seconds) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Returns the schedule with any budget removed. Sharded drives
-    /// that want byte-identity between a merged partition and the
-    /// monolithic run use this: a budget admits re-tests against the
-    /// lot-global observed ledger, which a shard cannot observe in
-    /// isolation (see [Sharding](self#sharding)).
-    #[must_use]
-    pub fn without_budget(mut self) -> Self {
-        self.budget = None;
         self
     }
 
@@ -972,23 +950,13 @@ impl LotEngine {
 
     /// Characterizes `factory(seed)` for every seed against `plan`,
     /// fanning devices across the worker pool. Calibration is performed
-    /// once for `config` and shared read-only by every device.
-    ///
-    /// A contiguous ascending seed slice (`s, s+1, …`) gets a complete
-    /// [`ShardSpan`] attached — a plain `run` is "one shard covering
-    /// the whole lot" ([`run_range`](Self::run_range)); arbitrary seed
-    /// lists carry no span.
+    /// once for `config` and shared read-only by every device. This is
+    /// [`run_escalated`](Self::run_escalated) with the one-stage,
+    /// unbudgeted schedule `[config]`.
     ///
     /// # Errors
     ///
-    /// * [`NetanError::EmptyLot`] for an empty seed list,
-    /// * [`NetanError::EmptySweep`] for an empty plan grid,
-    /// * the lowest-index [`NetanError::InvalidFrequency`] if the grid
-    ///   contains a non-positive frequency (rejected before calibration
-    ///   or any simulation),
-    /// * [`NetanError::DeviceNotSimulable`] if a device's nominal
-    ///   response is non-finite at a plan frequency,
-    /// * per-device measurement errors, lowest seed index first.
+    /// As [`run_escalated`](Self::run_escalated).
     pub fn run<D, F>(
         &self,
         factory: F,
@@ -1000,23 +968,18 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let mut report = self.run_seeds(factory, seeds, plan, config)?;
-        report.shard = Self::slice_span(seeds);
-        Ok(report)
+        self.run_escalated(factory, seeds, plan, &EscalationSchedule::new(vec![config]))
     }
 
-    /// Characterizes the contiguous seed range `seed_range` as one
-    /// **shard** of a larger lot: exactly [`run`](Self::run) over those
-    /// seeds, with a complete [`ShardSpan`] attached. Merging the
-    /// shards of any seed-contiguous partition with
-    /// [`LotReport::merge`] is byte-identical (through
-    /// [`lot_json`](crate::report::lot_json)) to one monolithic `run`
-    /// over the whole range.
+    /// [`run`](Self::run) over the contiguous seed range `seed_range`,
+    /// as one **shard** of a larger lot. Merging the shards of any
+    /// seed-contiguous partition with [`LotReport::merge`] is
+    /// byte-identical (through [`lot_json`](crate::report::lot_json))
+    /// to one monolithic `run` over the whole range.
     ///
     /// # Errors
     ///
-    /// Everything [`run`](Self::run) returns;
-    /// [`NetanError::EmptyLot`] for an empty range.
+    /// As [`run_escalated`](Self::run_escalated).
     pub fn run_range<D, F>(
         &self,
         factory: F,
@@ -1028,9 +991,8 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let seeds: Vec<u64> = seed_range.clone().collect();
-        let report = self.run_seeds(factory, &seeds, plan, config)?;
-        Ok(report.with_shard(ShardSpan::complete(seed_range)))
+        let schedule = EscalationSchedule::new(vec![config]);
+        self.run_escalated_range(factory, seed_range, plan, &schedule)
     }
 
     /// The shard span of an explicit seed slice: a complete span when
@@ -1045,114 +1007,17 @@ impl LotEngine {
             .then(|| ShardSpan::complete(first..end))
     }
 
-    fn run_seeds<D, F>(
-        &self,
-        factory: F,
-        seeds: &[u64],
-        plan: &LotPlan,
-        config: AnalyzerConfig,
-    ) -> Result<LotReport, NetanError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        Self::validate_lot(seeds, plan)?;
-        let cal = Self::shared_calibration(config)?;
-        let results = pool::map_indexed(self.device_threads, seeds.len(), |i| {
-            self.characterize_device(
-                &factory,
-                seeds[i],
-                plan,
-                config,
-                cal,
-                0,
-                config.periods,
-                &[],
-            )
-        });
-        // Buffered results: the lowest-index error wins, as in a serial
-        // in-order run.
-        let devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let summary = StageSummary {
-            stage: 0,
-            periods: config.periods,
-            tested: devices.len(),
-            counts: VerdictCounts::tally(&devices),
-            time: devices
-                .iter()
-                .fold(Seconds(0.0), |acc, d| acc + d.test_time),
-            // Fixed grids cost the same on every device; adaptive plans
-            // refine per device, so no uniform cost exists.
-            device_time: plan
-                .refinement()
-                .is_none()
-                .then(|| grid_time(config.periods, plan.grid())),
-        };
-        Ok(LotReport::new(plan.mask().clone(), devices).with_stages(vec![summary]))
-    }
-
-    /// Screens the whole lot at `schedule` stage 0, then re-tests only
-    /// the devices still [`SpecVerdict::Ambiguous`] at each subsequent
-    /// stage — one shared calibration per stage, re-tests fanned across
-    /// the same worker pool — until no device is ambiguous, the schedule
-    /// is exhausted, or the budget admits no further re-test. Under
-    /// [`StoppingPolicy::Sequential`] each re-test continues the
-    /// device's acquisition and is charged only the period increment;
-    /// verdicts are identical to `Staged`, the spend is smaller.
-    ///
-    /// Budgeting is an **observed-cost ledger**: each re-test's actual
-    /// measurement time is charged as it completes, and the next
-    /// ambiguous device (in seed order) is admitted while
-    /// `spent < budget` — so the final admitted re-test may overshoot
-    /// the budget by at most its own time, the report's
-    /// [`budget_exhausted`](LotReport::budget_exhausted) flag is set
-    /// whenever an ambiguous device was denied, and
-    /// [adaptive](LotPlan::adaptive) plans (device-dependent costs) are
-    /// fully supported.
-    ///
-    /// Results are bit-identical to a serial in-order run: admissions
-    /// are replayed in seed order against the ledger (never by
-    /// completion order), and on failure the lowest-seed-index error
-    /// among the *admitted* measurements of the failing stage is
-    /// reported.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](Self::run) returns, plus
-    /// [`NetanError::BudgetExhausted`] when the budget cannot cover the
-    /// all-or-nothing stage-0 screening pass — rejected before any
-    /// simulation on fixed grids, and right after the observed screening
-    /// pass on adaptive plans.
-    pub fn run_escalated<D, F>(
-        &self,
-        factory: F,
-        seeds: &[u64],
-        plan: &LotPlan,
-        schedule: &EscalationSchedule,
-    ) -> Result<LotReport, NetanError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        let mut report = self.run_escalated_seeds(factory, seeds, plan, schedule)?;
-        report.shard = Self::slice_span(seeds);
-        Ok(report)
-    }
-
-    /// Escalation-screens the contiguous seed range `seed_range` as one
-    /// **shard** of a larger lot: exactly
-    /// [`run_escalated`](Self::run_escalated) over those seeds, with a
-    /// complete [`ShardSpan`] attached. For unbudgeted schedules,
-    /// merging the shards of any seed-contiguous partition with
-    /// [`LotReport::merge`] is byte-identical (through
+    /// [`run_escalated`](Self::run_escalated) over the contiguous seed
+    /// range `seed_range`, as one **shard** of a larger lot. For
+    /// unbudgeted schedules, merging the shards of any seed-contiguous
+    /// partition with [`LotReport::merge`] is byte-identical (through
     /// [`lot_json`](crate::report::lot_json)) to one monolithic
-    /// `run_escalated` over the whole range; a budget applies per
-    /// shard (see the [module docs](self#sharding)).
+    /// `run_escalated` over the whole range; a budget applies per shard
+    /// (see the [module docs](self#sharding)).
     ///
     /// # Errors
     ///
-    /// Everything [`run_escalated`](Self::run_escalated) returns;
-    /// [`NetanError::EmptyLot`] for an empty range.
+    /// As [`run_escalated`](Self::run_escalated).
     pub fn run_escalated_range<D, F>(
         &self,
         factory: F,
@@ -1164,12 +1029,40 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let seeds: Vec<u64> = seed_range.clone().collect();
-        let report = self.run_escalated_seeds(factory, &seeds, plan, schedule)?;
-        Ok(report.with_shard(ShardSpan::complete(seed_range)))
+        self.run_escalated(factory, &seed_range.collect::<Vec<_>>(), plan, schedule)
     }
 
-    fn run_escalated_seeds<D, F>(
+    /// Screens the whole lot at `schedule` stage 0, then re-tests only
+    /// the devices still [`SpecVerdict::Ambiguous`] at each subsequent
+    /// stage — one shared calibration per stage, re-tests fanned across
+    /// the same worker pool — until no device is ambiguous, the schedule
+    /// is exhausted, or the budget admits no further re-test (see the
+    /// [module docs](self#budgets-the-observed-cost-ledger) for the
+    /// observed-cost ledger and [`StoppingPolicy`] for how re-tests are
+    /// charged).
+    ///
+    /// Results are bit-identical to a serial in-order run: admissions
+    /// are replayed in seed order against the ledger (never by
+    /// completion order), and on failure the lowest-seed-index error
+    /// among the *admitted* measurements of the failing stage is
+    /// reported. A contiguous ascending seed slice (`s, s+1, …`) gets a
+    /// complete [`ShardSpan`] attached; arbitrary seed lists carry none.
+    ///
+    /// # Errors
+    ///
+    /// * [`NetanError::EmptyLot`] for an empty seed list,
+    /// * [`NetanError::EmptySweep`] for an empty plan grid,
+    /// * the lowest-index [`NetanError::InvalidFrequency`] if the grid
+    ///   contains a non-positive frequency (rejected before calibration
+    ///   or any simulation),
+    /// * [`NetanError::DeviceNotSimulable`] if a device's nominal
+    ///   response is non-finite at a plan frequency,
+    /// * per-device measurement errors, lowest seed index first,
+    /// * [`NetanError::BudgetExhausted`] when the budget cannot cover
+    ///   the all-or-nothing stage-0 screening pass — rejected before any
+    ///   simulation on fixed grids, and right after the observed
+    ///   screening pass on adaptive plans.
+    pub fn run_escalated<D, F>(
         &self,
         factory: F,
         seeds: &[u64],
@@ -1217,8 +1110,8 @@ impl LotEngine {
         });
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-        // Folded from the measured devices — exactly what `run` records,
-        // so a one-stage schedule is bit-identical to a plain run.
+        // Folded from the measured devices, so the stage sum and the
+        // device sums agree to the last bit.
         let screen_time = devices
             .iter()
             .fold(Seconds(0.0), |acc, d| acc + d.test_time);
@@ -1338,10 +1231,12 @@ impl LotEngine {
             });
         }
 
-        Ok(LotReport::new(plan.mask().clone(), devices)
+        let mut report = LotReport::new(plan.mask().clone(), devices)
             .with_stages(stages)
             .with_budget(schedule.budget(), budget_exhausted)
-            .with_stopping(schedule.stopping()))
+            .with_stopping(schedule.stopping());
+        report.shard = Self::slice_span(seeds);
+        Ok(report)
     }
 
     /// The typed budget-below-screening error, both sides rounded **up**

@@ -59,8 +59,9 @@ impl std::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Renders a `catch_unwind` payload to text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a `catch_unwind` payload to text: `&str` and `String`
+/// payloads verbatim, anything else a fixed placeholder.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {

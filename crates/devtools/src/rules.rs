@@ -12,8 +12,8 @@
 //!   outside the benchmarking crates,
 //! * [`UNSAFE_NEEDS_SAFETY`] — the AVX2 `unsafe` blocks added for the
 //!   batched noise path,
-//! * [`PANIC_IN_LIB`] — `unwrap`/`expect`/`panic!` in `netan` library
-//!   paths, ratcheted down through a burn-down baseline.
+//! * [`PANIC_IN_LIB`] — `unwrap`/`expect`/`panic!` in `netan` and
+//!   `netan-serve` library paths, banned outright.
 
 use crate::lexer::{Lexed, Tok};
 use crate::{Diagnostic, FileCtx, FileKind};
@@ -26,7 +26,8 @@ pub const NONDET_COLLECTION: &str = "nondeterministic-collection";
 pub const WALLCLOCK_AND_ENTROPY: &str = "wallclock-and-entropy";
 /// `unsafe` blocks need `// SAFETY:`, `unsafe fn`s need `# Safety` docs.
 pub const UNSAFE_NEEDS_SAFETY: &str = "unsafe-needs-safety";
-/// `unwrap`/`expect`/`panic!` in non-test `netan` library paths.
+/// `unwrap`/`expect`/`panic!` in non-test `netan`/`netan-serve` library
+/// paths.
 pub const PANIC_IN_LIB: &str = "panic-in-lib";
 /// A suppression directive whose target line has no matching finding.
 pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
@@ -261,7 +262,7 @@ fn has_safety_doc_above(lines: &[&str], line: u32) -> bool {
 }
 
 /// `.unwrap(` / `.expect(` / `panic!` sites outside test code, in source
-/// order (the caller applies the burn-down baseline).
+/// order.
 pub fn panic_in_lib(lexed: &Lexed) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     for (i, t) in lexed.tokens.iter().enumerate() {
@@ -289,8 +290,7 @@ pub fn panic_in_lib(lexed: &Lexed) -> Vec<(u32, String)> {
 }
 
 /// Runs every scoped rule over one lexed file, returning raw findings
-/// (suppression directives and the panic baseline are applied by the
-/// caller).
+/// (suppression directives are applied by the caller).
 pub fn run_rules(ctx: &FileCtx, lexed: &Lexed, lines: &[&str], path: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut push = |rule: &'static str, findings: Vec<(u32, String)>| {

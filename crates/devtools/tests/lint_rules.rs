@@ -1,17 +1,13 @@
 //! Fixture-based good/bad pairs for every `netan-lint` rule, plus
-//! scoping, suppression-directive hygiene, and burn-down-ratchet
-//! coverage. Each `*_bad.rs` fixture must fail without its rule and each
+//! scoping and suppression-directive hygiene coverage. Each `*_bad.rs` fixture must fail without its rule and each
 //! `*_good.rs` fixture must lint completely clean, so a regression in
 //! either direction (missed finding or false positive) breaks a test.
 
-use std::collections::BTreeMap;
-
 use devtools::{lint_source, rules, Diagnostic};
 
-/// Lints `src` under a pretend workspace-relative path with an empty
-/// panic baseline.
+/// Lints `src` under a pretend workspace-relative path.
 fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
-    lint_source(path, src, &BTreeMap::new())
+    lint_source(path, src)
 }
 
 /// The rule names of all findings, in diagnostic order.
@@ -209,25 +205,14 @@ fn panic_rule_is_scoped_to_core_library_code() {
 }
 
 #[test]
-fn panic_baseline_ratchets_instead_of_blanket_allowing() {
-    let bad = include_str!("fixtures/panic_bad.rs");
-    let path = "crates/core/src/fixture.rs";
-
-    // Baseline covering every site: clean.
-    let mut baseline = BTreeMap::new();
-    baseline.insert(path.to_string(), 3usize);
-    assert!(lint_source(path, bad, &baseline).is_empty());
-
-    // Baseline one short: exactly the site beyond it is reported, with the
-    // ratchet arithmetic spelled out in the message.
-    baseline.insert(path.to_string(), 2usize);
-    let diags = lint_source(path, bad, &baseline);
-    assert_eq!(rules_of(&diags), [rules::PANIC_IN_LIB]);
-    assert!(
-        diags[0].message.contains("site 3") && diags[0].message.contains("baseline of 2"),
-        "{}",
-        diags[0].message
+fn a_single_panic_site_in_core_library_code_is_reported() {
+    // The ban is flat: no per-file allowance excuses even one site.
+    let diags = lint(
+        "crates/core/src/adaptive.rs",
+        include_str!("fixtures/panic_single.rs"),
     );
+    assert_eq!(rules_of(&diags), [rules::PANIC_IN_LIB]);
+    assert_eq!(diags[0].line, 4);
 }
 
 // ------------------------------------------------- suppression directives

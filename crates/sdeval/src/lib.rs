@@ -40,14 +40,12 @@
 // workspace is mixsig's runtime-dispatched AVX2 noise kernels.
 #![forbid(unsafe_code)]
 
-pub mod counter;
 pub mod evaluator;
 pub mod modulator;
 pub mod modulator2;
 pub mod signature;
 pub mod squarewave;
 
-pub use counter::SignatureCounter;
 pub use evaluator::{
     BlockSource, DcMeasurement, EvalError, EvaluatorConfig, FnSource, HarmonicMeasurement,
     SinewaveEvaluator, DEFAULT_BLOCK_SAMPLES,

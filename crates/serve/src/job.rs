@@ -48,10 +48,9 @@ use netan::json::{write_f64, write_str, Json};
 use netan::report::lot_json;
 use netan::{
     lot_report_from_json, AnalyzerConfig, EscalationSchedule, GainMask, HardwareProfile, LotPlan,
-    LotReport, MaskPoint, ReportParseError, StoppingPolicy,
+    LotReport, MaskPoint, ReportParseError, ShardSpans, StoppingPolicy,
 };
 use std::fmt::Write as _;
-use std::ops::Range;
 
 /// The schema tag every frame carries.
 pub const SCHEMA: &str = "netan.job.v1";
@@ -94,22 +93,15 @@ impl JobRequest {
         self.shard_devices.max(1)
     }
 
-    /// How many shards the job splits into (0 for an empty seed range).
+    /// How many shards the job splits into (0 for an empty seed range),
+    /// in O(1).
     pub fn shard_count(&self) -> u64 {
-        let len = self.seed_end.saturating_sub(self.seed_start);
-        len.div_ceil(self.shard_size())
+        self.spans().shard_count()
     }
 
-    /// The job's shard spans in seed order.
-    pub fn spans(&self) -> Vec<Range<u64>> {
-        let mut out = Vec::new();
-        let mut start = self.seed_start;
-        while start < self.seed_end {
-            let end = self.seed_end.min(start.saturating_add(self.shard_size()));
-            out.push(start..end);
-            start = end;
-        }
-        out
+    /// The job's shard spans in seed order, produced lazily.
+    pub fn spans(&self) -> ShardSpans {
+        ShardSpans::new(self.seed_start..self.seed_end, self.shard_size())
     }
 
     /// Renders the job object (the `"job"` payload of a submit frame).
@@ -694,14 +686,14 @@ mod tests {
     fn shard_arithmetic() {
         let r = request();
         assert_eq!(r.shard_count(), 4);
-        assert_eq!(r.spans(), vec![0..2, 2..4, 4..6, 6..8]);
+        assert!(r.spans().eq([0..2, 2..4, 4..6, 6..8]));
         let odd = JobRequest {
             seed_end: 7,
             shard_devices: 3,
             ..request()
         };
         assert_eq!(odd.shard_count(), 3);
-        assert_eq!(odd.spans(), vec![0..3, 3..6, 6..7]);
+        assert!(odd.spans().eq([0..3, 3..6, 6..7]));
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   client/server frames, built on the same hand-rolled JSON machinery
 //!   as `netan.lot.v4` and with the same byte-exact parse→render
 //!   round-trip guarantee.
-//! - [`service`] — [`ScreenService`]: the bounded shard queue, worker
-//!   pool, in-order merging, observed-cost budget threading,
-//!   retry-once fault containment, checkpoint persistence, and
-//!   graceful shutdown.
+//! - [`service`] — [`ScreenService`]: the bounded shard queue and the
+//!   worker pool stepping one [`netan::ShardDrive`] per job, retry-once
+//!   fault containment, checkpoint persistence, and graceful shutdown.
 //! - [`server`] — [`JobServer`]: the TCP front end, one connection per
 //!   submitter, events streamed as they happen.
 //!

@@ -4,27 +4,28 @@
 //!
 //! # Execution model
 //!
-//! A submitted [`JobRequest`] splits into device-range shards
-//! ([`JobRequest::spans`]). **Unbudgeted** jobs enqueue every shard at
-//! submission; a fixed pool of worker threads steals them in any order,
-//! completed shards are buffered, and the job's report is folded with
-//! [`LotReport::merge`] strictly in seed order — so the merged result
-//! (and every streamed progress event) is byte-deterministic under any
-//! thread schedule, and byte-identical to one monolithic
-//! `run_escalated_range` over the whole lot. **Budgeted** jobs dispatch
-//! one shard at a time: shard *k+1* is queued only after shard *k*
-//! merges, and runs under the remaining global budget
-//! `global − merged.spent()` — exactly the observed-cost ledger
-//! threading of [`LotCheckpoint::run_escalated`], and byte-identical to
-//! a checkpointed drive with the same shard size.
+//! Each job is a [`ShardDrive`], the same shard/budget driver
+//! [`LotCheckpoint::run_escalated`] steps synchronously: it says which
+//! shards may be queued, hands each shard its budget remainder
+//! `global − merged.spent()`, folds finished shards with
+//! [`LotReport::merge`] in seed order, and re-brands the merged report
+//! to the global budget. A fixed pool of worker threads runs queued
+//! shards in any order, so **unbudgeted** jobs queue every shard at
+//! submission; **budgeted** jobs queue one shard at a time, each after
+//! the previous one merged. The merged result and every progress event
+//! are byte-deterministic under any thread schedule: byte-identical to
+//! one monolithic `run_escalated_range` for unbudgeted jobs and to a
+//! checkpointed drive with the same shard size for budgeted ones, by
+//! construction.
 //!
 //! # Backpressure
 //!
 //! The shard queue is bounded: a submission whose shards do not fit is
 //! refused with a typed [`ServeError::QueueFull`] before anything is
 //! queued — the client resubmits later instead of the server buffering
-//! without limit. (A budgeted job's follow-on shards bypass the check:
-//! it only ever has one shard in flight.)
+//! without limit. The shards are counted, never listed, so even a job
+//! of 2⁶⁴ shards is refused at once. (A budgeted job's follow-on shards
+//! bypass the check: it only ever has one shard in flight.)
 //!
 //! # Fault containment
 //!
@@ -45,17 +46,18 @@
 //!
 //! # Shutdown
 //!
-//! [`ScreenService::shutdown`] refuses new submissions, drops queued
-//! (not-yet-started) shards, lets in-flight shards finish, persist and
-//! merge, fails every still-incomplete job with a typed
-//! [`ServeError::ShuttingDown`], and joins the workers.
+//! [`ScreenService::shutdown`] drains in-flight shards and fails every
+//! still-incomplete job with a typed [`ServeError::ShuttingDown`].
 
 use crate::error::ServeError;
 use crate::job::{job_key, JobRequest};
 use dut::ActiveRcFilter;
 use mixsig::cast::u64_from_usize;
 use mixsig::units::Seconds;
-use netan::{LotCheckpoint, LotEngine, LotReport, NetanError};
+use netan::pool::panic_message;
+use netan::{
+    EscalationSchedule, LotCheckpoint, LotEngine, LotReport, NetanError, ShardDrive, ShardSpans,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -207,15 +209,9 @@ struct Task {
 struct JobState {
     request: JobRequest,
     events: Sender<JobEvent>,
-    /// Merged prefix, seeded with the merge identity.
-    merged: LotReport,
-    /// Seed where the next in-order merge must start.
-    next_merge: u64,
-    /// Completed shards waiting for their turn to merge:
-    /// `start -> (end, report, resumed)`.
-    ready: BTreeMap<u64, (u64, LotReport, bool)>,
-    total: u64,
-    done: u64,
+    /// Spans, budget remainder and seed-order merge; each shard is
+    /// tagged with whether it was loaded from a checkpoint.
+    drive: ShardDrive<bool>,
     /// Shards of this job currently executing on a worker.
     active: usize,
     checkpoint: Option<LotCheckpoint>,
@@ -285,25 +281,26 @@ impl ScreenService {
         if request.seed_start >= request.seed_end {
             return Err(ServeError::Lot(NetanError::EmptyLot));
         }
-        let spans = request.spans();
-        let budgeted = request.schedule.budget().is_some();
-        let checkpoint = match &self.inner.state_dir {
-            Some(dir) => {
-                let key = job_key(&request.render());
-                Some(LotCheckpoint::new(
-                    dir.join(format!("job-{key:016x}")),
-                    request.shard_size(),
-                ))
-            }
-            None => None,
-        };
+        let mut drive = ShardDrive::new(
+            request.seed_start..request.seed_end,
+            request.shard_size(),
+            &request.plan,
+            &request.schedule,
+        );
+        let checkpoint = self.inner.state_dir.as_ref().map(|dir| {
+            let key = job_key(&request.render());
+            LotCheckpoint::new(dir.join(format!("job-{key:016x}")), request.shard_size())
+        });
 
         let mut st = self.inner.lock();
         if st.shutting_down {
             return Err(ServeError::ShuttingDown);
         }
-        let new_tasks = if budgeted { 1 } else { spans.len() };
-        if st.queue.len() + new_tasks > self.inner.queue_capacity {
+        // Counted lazily and compared in `u64`: a job of 2⁶⁴ shards is
+        // refused without ever materializing its spans.
+        let tasks = drive.dispatch();
+        let free = self.inner.queue_capacity.saturating_sub(st.queue.len());
+        if tasks.shard_count() > u64_from_usize(free) {
             return Err(ServeError::QueueFull {
                 capacity: self.inner.queue_capacity,
             });
@@ -311,29 +308,17 @@ impl ScreenService {
         let job = st.next_job;
         st.next_job += 1;
         let (events, receiver) = channel();
-        let merged = LotReport::empty(&request.plan);
         st.jobs.insert(
             job,
             JobState {
-                next_merge: request.seed_start,
-                total: request.shard_count(),
-                merged,
                 request,
                 events,
-                ready: BTreeMap::new(),
-                done: 0,
+                drive,
                 active: 0,
                 checkpoint,
             },
         );
-        for span in spans.into_iter().take(new_tasks) {
-            st.queue.push_back(Task {
-                job,
-                span,
-                attempt: 0,
-            });
-        }
-        self.inner.work_ready.notify_all();
+        self.inner.enqueue(&mut st, job, tasks);
         Ok((job, receiver))
     }
 
@@ -372,11 +357,6 @@ impl ScreenService {
     }
 }
 
-enum TaskFailure {
-    Panicked(String),
-    Error(ServeError),
-}
-
 impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -387,7 +367,7 @@ impl Inner {
             // Pop a task and pin its job in one critical section, so
             // shutdown can tell in-flight shards (active > 0) from
             // queued ones.
-            let (task, request, spent, checkpoint) = {
+            let (task, request, schedule, checkpoint) = {
                 let mut st = self.lock();
                 let task = loop {
                     match st.queue.pop_front() {
@@ -414,12 +394,12 @@ impl Inner {
                 (
                     task,
                     job.request.clone(),
-                    job.merged.spent(),
+                    job.drive.shard_schedule(),
                     job.checkpoint.clone(),
                 )
             };
 
-            let outcome = self.execute(&task, &request, spent, checkpoint.as_ref());
+            let outcome = self.execute(&task, &request, &schedule, checkpoint.as_ref());
 
             let mut st = self.lock();
             if let Some(job) = st.jobs.get_mut(&task.job) {
@@ -427,7 +407,7 @@ impl Inner {
             }
             match outcome {
                 Ok((report, resumed)) => self.record_shard(&mut st, &task, report, resumed),
-                Err(TaskFailure::Panicked(message)) if task.attempt == 0 => {
+                Err(ServeError::ShardPanicked { message, .. }) if task.attempt == 0 => {
                     if let Some(job) = st.jobs.get(&task.job) {
                         let _ = job.events.send(JobEvent::Retry {
                             seed_start: task.span.start,
@@ -442,32 +422,22 @@ impl Inner {
                         self.work_ready.notify_all();
                     }
                 }
-                Err(TaskFailure::Panicked(message)) => {
-                    Self::fail_job(
-                        &mut st,
-                        task.job,
-                        ServeError::ShardPanicked {
-                            seed_start: task.span.start,
-                            seed_end: task.span.end,
-                            message,
-                        },
-                    );
-                }
-                Err(TaskFailure::Error(e)) => Self::fail_job(&mut st, task.job, e),
+                Err(e) => Self::fail_job(&mut st, task.job, e),
             }
         }
     }
 
-    /// Runs one shard: checkpoint load first, engine run (fault
-    /// injection and panic containment included) otherwise, persisting
-    /// the fresh result before it is merged.
+    /// Runs one shard under the schedule its job's [`ShardDrive`] handed
+    /// out: checkpoint load first, engine run (fault injection and panic
+    /// containment included) otherwise, persisting the fresh result
+    /// before it is merged.
     fn execute(
         &self,
         task: &Task,
         request: &JobRequest,
-        spent: Seconds,
+        schedule: &EscalationSchedule,
         checkpoint: Option<&LotCheckpoint>,
-    ) -> Result<(LotReport, bool), TaskFailure> {
+    ) -> Result<(LotReport, bool), ServeError> {
         if let Some(loaded) = checkpoint.and_then(|c| c.load_shard(&task.span, &request.plan)) {
             return Ok((loaded, true));
         }
@@ -483,25 +453,41 @@ impl Inner {
                     std::panic::panic_any("injected worker fault".to_string());
                 }
             }
-            run_shard(&self.engine, request, span.clone(), spent)
+            let dut = &request.dut;
+            let factory = |seed| {
+                let base = ActiveRcFilter::paper_dut();
+                let base = if dut.linearized {
+                    base.linearized()
+                } else {
+                    base
+                };
+                base.fabricate(dut.tolerance, seed)
+            };
+            self.engine
+                .run_escalated_range(factory, span.clone(), &request.plan, schedule)
         }));
         match run {
             Ok(Ok(report)) => {
                 if let Some(c) = checkpoint {
                     if let Err(e) = c.persist_shard(&task.span, &report) {
-                        return Err(TaskFailure::Error(ServeError::Checkpoint {
+                        return Err(ServeError::Checkpoint {
                             message: e.to_string(),
-                        }));
+                        });
                     }
                 }
                 Ok((report, false))
             }
-            Ok(Err(e)) => Err(TaskFailure::Error(ServeError::Lot(e))),
-            Err(payload) => Err(TaskFailure::Panicked(panic_message(payload))),
+            Ok(Err(e)) => Err(ServeError::Lot(e)),
+            // Retried once by the worker loop, then the job's failure.
+            Err(payload) => Err(ServeError::ShardPanicked {
+                seed_start: span.start,
+                seed_end: span.end,
+                message: panic_message(payload),
+            }),
         }
     }
 
-    /// Buffers a completed shard and folds every now-contiguous shard
+    /// Records a completed shard and folds every now-contiguous shard
     /// into the merged prefix, emitting progress in seed order; then
     /// finishes the job, dispatches a budgeted job's next shard, or
     /// fails the job if shutdown dropped its remaining shards.
@@ -509,65 +495,53 @@ impl Inner {
         let Some(job) = st.jobs.get_mut(&task.job) else {
             return;
         };
-        job.ready
-            .insert(task.span.start, (task.span.end, report, resumed));
-        while let Some((end, shard_report, shard_resumed)) = job.ready.remove(&job.next_merge) {
-            let start = job.next_merge;
-            job.merged = std::mem::replace(&mut job.merged, LotReport::empty(&job.request.plan))
-                .merge(shard_report);
-            job.next_merge = end;
-            job.done += 1;
+        job.drive.record(task.span.clone(), report, resumed);
+        while let Some((span, resumed)) = job.drive.merge_ready() {
+            let merged = job.drive.merged();
             let _ = job.events.send(JobEvent::Progress {
-                seed_start: start,
-                seed_end: end,
-                done: job.done,
-                total: job.total,
-                devices: u64_from_usize(job.merged.len()),
-                spent: job.merged.spent(),
-                resumed: shard_resumed,
+                seed_start: span.start,
+                seed_end: span.end,
+                done: job.drive.merged_shards(),
+                total: job.drive.shard_count(),
+                devices: u64_from_usize(merged.len()),
+                spent: merged.spent(),
+                resumed,
             });
         }
 
-        if job.next_merge >= job.request.seed_end {
-            // Complete: the merged lot answers for the one global
-            // budget, not the per-shard remainders — same re-branding
-            // as `LotCheckpoint::run_escalated`.
+        if job.drive.is_complete() {
             let Some(job) = st.jobs.remove(&task.job) else {
                 return;
             };
-            let report = match job.request.schedule.budget() {
-                Some(global) => {
-                    let exhausted = job.merged.budget_exhausted();
-                    job.merged.with_budget(Some(global), exhausted)
-                }
-                None => job.merged,
-            };
-            let _ = job.events.send(JobEvent::Done(Box::new(report)));
+            let _ = job
+                .events
+                .send(JobEvent::Done(Box::new(job.drive.finish())));
             return;
         }
 
-        let budgeted = job.request.schedule.budget().is_some();
         if st.shutting_down {
             // No further dispatch under shutdown; once the job's last
             // in-flight shard has drained, nothing can complete it.
             if job.active == 0 {
                 Self::fail_job(st, task.job, ServeError::ShuttingDown);
             }
-        } else if budgeted && job.next_merge == task.span.end {
-            // The budgeted sequence advanced: dispatch the next shard,
-            // which will run under `global − merged.spent()`.
-            let start = job.next_merge;
-            let end = job
-                .request
-                .seed_end
-                .min(start.saturating_add(job.request.shard_size()));
-            st.queue.push_back(Task {
-                job: task.job,
-                span: start..end,
-                attempt: 0,
-            });
-            self.work_ready.notify_all();
+        } else {
+            // A budgeted job's next shard becomes runnable once this
+            // one merged; an unbudgeted job dispatched everything at
+            // submission.
+            let tasks = job.drive.dispatch();
+            self.enqueue(st, task.job, tasks);
         }
+    }
+
+    /// Queues fresh first attempts of `job`'s `spans`.
+    fn enqueue(&self, st: &mut State, job: u64, spans: ShardSpans) {
+        st.queue.extend(spans.map(|span| Task {
+            job,
+            span,
+            attempt: 0,
+        }));
+        self.work_ready.notify_all();
     }
 
     /// Fails `job` with a terminal event, dropping its queued shards.
@@ -578,45 +552,5 @@ impl Inner {
         };
         st.queue.retain(|t| t.job != job);
         let _ = state.events.send(JobEvent::Failed(error));
-    }
-}
-
-/// One shard through the engine, under whatever budget the merged
-/// prefix left over.
-fn run_shard(
-    engine: &LotEngine,
-    request: &JobRequest,
-    span: Range<u64>,
-    spent: Seconds,
-) -> Result<LotReport, NetanError> {
-    let schedule = match request.schedule.budget() {
-        Some(global) => request
-            .schedule
-            .clone()
-            .with_budget(Seconds((global.value() - spent.value()).max(0.0))),
-        None => request.schedule.clone(),
-    };
-    let dut = request.dut.clone();
-    let factory = move |seed: u64| {
-        let base = ActiveRcFilter::paper_dut();
-        let base = if dut.linearized {
-            base.linearized()
-        } else {
-            base
-        };
-        base.fabricate(dut.tolerance, seed)
-    };
-    engine.run_escalated_range(factory, span, &request.plan, &schedule)
-}
-
-/// Renders a `catch_unwind` payload to text (same convention as the
-/// core worker pool).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
     }
 }

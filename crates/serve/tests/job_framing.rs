@@ -102,7 +102,7 @@ proptest! {
 
     #[test]
     fn shard_spans_tile_the_lot(request in arb_request()) {
-        let spans = request.spans();
+        let spans: Vec<_> = request.spans().collect();
         prop_assert_eq!(spans.len() as u64, request.shard_count());
         let mut cursor = request.seed_start;
         for span in &spans {
@@ -204,5 +204,22 @@ proptest! {
             prop_assert_eq!(&parsed, &frame);
             prop_assert_eq!(parsed.render(), line, "{}", line);
         }
+    }
+}
+
+#[test]
+fn deeply_nested_frames_are_typed_errors_not_stack_overflows() {
+    let depth = 200_000;
+    let frame = format!(
+        "{{\"schema\":\"netan.job.v1\",\"type\":\"submit\",\"job\":{}",
+        "[".repeat(depth)
+    );
+    let prefix = frame.len() - depth;
+    for err in [
+        netan::Json::parse(&frame).unwrap_err(),
+        ClientFrame::parse(&frame).unwrap_err(),
+    ] {
+        assert_eq!(err.offset, prefix + netan::json::MAX_DEPTH - 1, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

@@ -192,9 +192,14 @@ fn double_fault_fails_the_job_but_not_its_sibling() {
 #[test]
 fn oversized_submissions_are_refused_synchronously() {
     let service = ScreenService::start(ServiceConfig::new().with_queue_capacity(2));
-    match service.submit(request(0, 8, 2)) {
-        Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 2),
-        other => panic!("expected QueueFull, got {other:?}"),
+    // The second job has 2⁶⁴ − 1 one-device shards: its spans are
+    // counted, never built, so it is refused instead of exhausting
+    // memory.
+    for job in [request(0, 8, 2), request(0, u64::MAX, 1)] {
+        match service.submit(job) {
+            Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 2),
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
     }
     // A job that fits still goes through on the same service.
     let job = request(0, 4, 2);
