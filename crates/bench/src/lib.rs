@@ -1,8 +1,9 @@
 //! Shared helpers for the figure/table regeneration harnesses
-//! (`src/bin/*`) and the Criterion benches (`benches/*`).
+//! (`src/bin/*`).
 //!
 //! Every table and figure of the paper's evaluation section has a binary
-//! here that regenerates its rows/series:
+//! here that regenerates its rows/series (timing lives in the stand-alone
+//! `perfbench` package at the repository root, not here):
 //!
 //! | paper artifact | binary |
 //! |---|---|
@@ -16,6 +17,7 @@
 //! | headline dynamic range claim | `dynamic_range` |
 //! | ablation: oversampling ratio N | `ablation_n` |
 //! | ablation: circuit non-idealities | `ablation_nonideal` |
+//! | ablation: modulator order | `ablation_order` |
 
 // No unsafe code belongs in this crate; the only unsafe in the
 // workspace is mixsig's runtime-dispatched AVX2 noise kernels.

@@ -1,7 +1,7 @@
 //! The network analyzer proper (paper Section III.C).
 
 use crate::engine::SweepEngine;
-use crate::error::NetanError;
+use crate::error::{millihertz, NetanError};
 use crate::sweep::BodePlot;
 use ate::{DemoBoard, SignalPath};
 use dut::Dut;
@@ -199,8 +199,7 @@ impl<'d> NetworkAnalyzer<'d> {
     pub(crate) fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
         if f_wave.value().partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(NetanError::InvalidFrequency {
-                // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
-                hz_millis: (f_wave.value() * 1000.0) as i64,
+                hz_millis: millihertz(f_wave),
             });
         }
         Ok(())

@@ -1,5 +1,6 @@
 //! Error type of the network analyzer.
 
+use mixsig::units::Hertz;
 use sdeval::EvalError;
 
 /// Errors from network-analyzer operations.
@@ -58,6 +59,37 @@ pub enum NetanError {
         /// the same way as `needed_ms`).
         budget_ms: u64,
     },
+    /// A mask point's frequency is not positive and finite. Rejected by
+    /// [`MaskPoint::try_new`](crate::spec::MaskPoint::try_new), before
+    /// any plan is built on it.
+    InvalidMaskFrequency {
+        /// The offending frequency in millihertz (NaN renders as 0).
+        hz_millis: i64,
+    },
+    /// A mask point's limits are inverted (`min_db > max_db`) or NaN:
+    /// every device would classify `Fail` or `Ambiguous` there, and the
+    /// ambiguous ones would burn re-tests that can never decide them.
+    InvertedMaskLimits {
+        /// The mask point's frequency in millihertz.
+        hz_millis: i64,
+    },
+    /// An escalation schedule was built with no stages.
+    EmptySchedule,
+    /// An escalation schedule's stage `M`s do not strictly increase, so
+    /// a re-test could not narrow the enclosure it re-measures.
+    NonEscalatingStages {
+        /// `M` of the earlier stage.
+        periods: u32,
+        /// `M` of the stage right after it (not larger).
+        next: u32,
+    },
+}
+
+/// `frequency` in millihertz, for the diagnostic fields of
+/// [`NetanError`].
+pub(crate) fn millihertz(frequency: Hertz) -> i64 {
+    // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
+    (frequency.value() * 1000.0) as i64
 }
 
 impl std::fmt::Display for NetanError {
@@ -109,6 +141,24 @@ impl std::fmt::Display for NetanError {
                     *needed_ms as f64 / 1000.0
                 )
             }
+            NetanError::InvalidMaskFrequency { hz_millis } => write!(
+                f,
+                "mask frequency must be positive and finite, got {} Hz",
+                *hz_millis as f64 / 1000.0
+            ),
+            NetanError::InvertedMaskLimits { hz_millis } => write!(
+                f,
+                "mask limits inverted at {} Hz: min_db must not exceed max_db, \
+                 and neither may be NaN",
+                *hz_millis as f64 / 1000.0
+            ),
+            NetanError::EmptySchedule => {
+                write!(f, "an escalation schedule needs at least one stage")
+            }
+            NetanError::NonEscalatingStages { periods, next } => write!(
+                f,
+                "escalation stages must strictly increase M ({periods} then {next})"
+            ),
         }
     }
 }

@@ -61,6 +61,15 @@ impl std::fmt::Display for ReportParseError {
 
 impl std::error::Error for ReportParseError {}
 
+/// A constructor's typed rejection of values a well-formed document
+/// carries (an inverted mask point, a non-escalating stage list) is a
+/// document-level interpretation error.
+impl From<crate::NetanError> for ReportParseError {
+    fn from(e: crate::NetanError) -> Self {
+        Self::doc(e.to_string())
+    }
+}
+
 /// A parsed JSON value. Numbers keep their raw token so integers larger
 /// than an exact `f64` (e.g. a full-range `u64` seed) survive, and so
 /// `f64` fields round-trip through `str::parse` — the exact inverse of

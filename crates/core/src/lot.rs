@@ -89,7 +89,7 @@
 use crate::adaptive::{AdaptiveSweep, RefinementPolicy};
 use crate::analyzer::{AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
 use crate::engine::SweepEngine;
-use crate::error::NetanError;
+use crate::error::{millihertz, NetanError};
 use crate::plan::{grid_time, measurement_time};
 use crate::pool;
 use crate::spec::{GainMask, SpecVerdict};
@@ -216,8 +216,7 @@ impl LotPlan {
     /// The typed missing-mask-frequency error for `frequency`.
     fn missing_mask_error(frequency: Hertz) -> NetanError {
         NetanError::MaskFrequencyMissing {
-            // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
-            hz_millis: (frequency.value() * 1000.0) as i64,
+            hz_millis: millihertz(frequency),
         }
     }
 }
@@ -256,29 +255,45 @@ pub struct EscalationSchedule {
 }
 
 impl EscalationSchedule {
+    /// Builds a schedule from explicit per-stage analyzer configurations,
+    /// rejecting an empty stage list or stage `periods` that do not
+    /// strictly increase. The one copy of that rule: [`new`](Self::new)
+    /// and [`from_periods`](Self::from_periods) delegate here, and
+    /// untrusted input (the service's job frames) calls it directly.
+    ///
+    /// # Errors
+    ///
+    /// [`NetanError::EmptySchedule`] or
+    /// [`NetanError::NonEscalatingStages`].
+    pub fn try_new(stages: Vec<AnalyzerConfig>) -> Result<Self, NetanError> {
+        if stages.is_empty() {
+            return Err(NetanError::EmptySchedule);
+        }
+        if let Some(w) = stages.windows(2).find(|w| w[0].periods >= w[1].periods) {
+            return Err(NetanError::NonEscalatingStages {
+                periods: w[0].periods,
+                next: w[1].periods,
+            });
+        }
+        Ok(Self {
+            stages,
+            budget: None,
+            stopping: StoppingPolicy::Staged,
+        })
+    }
+
     /// Builds a schedule from explicit per-stage analyzer configurations.
     ///
     /// # Panics
     ///
     /// Panics if `stages` is empty or the stage `periods` are not
-    /// strictly increasing.
+    /// strictly increasing — the errors [`try_new`](Self::try_new)
+    /// returns.
     pub fn new(stages: Vec<AnalyzerConfig>) -> Self {
-        assert!(
-            !stages.is_empty(),
-            "an escalation schedule needs at least one stage"
-        );
-        for w in stages.windows(2) {
-            assert!(
-                w[0].periods < w[1].periods,
-                "escalation stages must strictly increase M ({} then {})",
-                w[0].periods,
-                w[1].periods
-            );
-        }
-        Self {
-            stages,
-            budget: None,
-            stopping: StoppingPolicy::Staged,
+        match Self::try_new(stages) {
+            Ok(schedule) => schedule,
+            // netan-lint: allow(panic-in-lib): the documented panic of the trusted-input constructor; untrusted stage lists go through `try_new`
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -1277,10 +1292,7 @@ impl LotEngine {
                 .iter()
                 .any(|f| f.value().to_bits() == mp.frequency.value().to_bits());
             if !measured {
-                return Err(NetanError::MaskFrequencyMissing {
-                    // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
-                    hz_millis: (mp.frequency.value() * 1000.0) as i64,
-                });
+                return Err(LotPlan::missing_mask_error(mp.frequency));
             }
         }
         Ok(())
@@ -1534,6 +1546,20 @@ mod tests {
     #[should_panic(expected = "strictly increase")]
     fn non_escalating_schedule_panics() {
         let _ = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[100, 100]);
+    }
+
+    #[test]
+    fn try_new_rejects_malformed_schedules_with_typed_errors() {
+        let err = |ms: &[u32]| {
+            let stages = ms.iter().map(|&m| AnalyzerConfig::ideal().with_periods(m));
+            EscalationSchedule::try_new(stages.collect()).unwrap_err()
+        };
+        assert_eq!(err(&[]), NetanError::EmptySchedule);
+        let (periods, next) = (200, 200);
+        assert_eq!(
+            err(&[50, 200, 200]),
+            NetanError::NonEscalatingStages { periods, next }
+        );
     }
 
     #[test]

@@ -602,11 +602,11 @@ pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
 
     let mut mask = GainMask::new();
     for m in doc.field("mask")?.as_arr()? {
-        mask = mask.with_point(MaskPoint {
-            frequency: Hertz(m.field("freq_hz")?.as_f64()?),
-            min_db: m.field("min_db")?.as_f64()?,
-            max_db: m.field("max_db")?.as_f64()?,
-        });
+        mask = mask.with_point(MaskPoint::try_new(
+            Hertz(m.field("freq_hz")?.as_f64()?),
+            m.field("min_db")?.as_f64()?,
+            m.field("max_db")?.as_f64()?,
+        )?);
     }
 
     let mut devices = Vec::new();

@@ -11,6 +11,7 @@
 //!   accuracy-for-test-time trade-off made operational).
 
 use crate::analyzer::BodePoint;
+use crate::error::{millihertz, NetanError};
 use mixsig::units::Hertz;
 use sdeval::Bounded;
 
@@ -37,28 +38,49 @@ pub struct MaskPoint {
 }
 
 impl MaskPoint {
-    /// Creates a mask point.
-    ///
-    /// The frequency is validated here, at mask construction, rather
-    /// than deep inside a run: a non-positive or non-finite mask
-    /// frequency used to surface only once
+    /// Creates a mask point, validating it at mask construction rather
+    /// than deep inside a run: a non-positive or non-finite frequency
+    /// would otherwise surface only once
     /// [`measurement_time`](crate::plan::measurement_time) or the
-    /// analyzer's frequency validation hit it, devices into a lot.
+    /// analyzer's frequency validation hit it, devices into a lot, and
+    /// inverted or NaN limits would bin every device `Fail` or
+    /// `Ambiguous` without an error.
+    ///
+    /// # Errors
+    ///
+    /// [`NetanError::InvalidMaskFrequency`] if `frequency` is not a
+    /// positive finite value; [`NetanError::InvertedMaskLimits`] if
+    /// `min_db > max_db` or either limit is NaN.
+    pub fn try_new(frequency: Hertz, min_db: f64, max_db: f64) -> Result<Self, NetanError> {
+        if !(frequency.value().is_finite() && frequency.value() > 0.0) {
+            return Err(NetanError::InvalidMaskFrequency {
+                hz_millis: millihertz(frequency),
+            });
+        }
+        if min_db.is_nan() || max_db.is_nan() || min_db > max_db {
+            return Err(NetanError::InvertedMaskLimits {
+                hz_millis: millihertz(frequency),
+            });
+        }
+        Ok(Self {
+            frequency,
+            min_db,
+            max_db,
+        })
+    }
+
+    /// Creates a mask point.
     ///
     /// # Panics
     ///
     /// Panics if `frequency` is not a positive finite value, or if
-    /// `min_db > max_db` (including either limit being NaN).
+    /// `min_db > max_db` (including either limit being NaN) — the errors
+    /// [`try_new`](Self::try_new) returns.
     pub fn new(frequency: Hertz, min_db: f64, max_db: f64) -> Self {
-        assert!(
-            frequency.value().is_finite() && frequency.value() > 0.0,
-            "mask frequency must be positive and finite, got {frequency}"
-        );
-        assert!(min_db <= max_db, "mask limits inverted at {frequency}");
-        Self {
-            frequency,
-            min_db,
-            max_db,
+        match Self::try_new(frequency, min_db, max_db) {
+            Ok(point) => point,
+            // netan-lint: allow(panic-in-lib): the documented panic of the trusted-input constructor; untrusted limits go through `try_new`
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -243,6 +265,19 @@ mod tests {
     #[should_panic(expected = "inverted")]
     fn nan_mask_limit_panics_at_construction() {
         let _ = MaskPoint::new(Hertz(1.0), f64::NAN, 1.0);
+    }
+
+    #[test]
+    fn try_new_rejects_malformed_points_with_typed_errors() {
+        let err = |f, lo, hi| MaskPoint::try_new(Hertz(f), lo, hi).unwrap_err();
+        let bad_frequency = |hz_millis| NetanError::InvalidMaskFrequency { hz_millis };
+        assert_eq!(err(0.0, -1.0, 1.0), bad_frequency(0));
+        assert_eq!(err(-2.5, -1.0, 1.0), bad_frequency(-2500));
+        let inverted = NetanError::InvertedMaskLimits { hz_millis: 1000 };
+        for (lo, hi) in [(1.0, -1.0), (f64::NAN, 1.0), (-1.0, f64::NAN)] {
+            assert_eq!(err(1.0, lo, hi), inverted);
+        }
+        assert!(MaskPoint::try_new(Hertz(1.0), -4.0, -4.0).is_ok());
     }
 
     // Regression: a NaN enclosure must never classify `Pass`. An est-NaN

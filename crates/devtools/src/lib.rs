@@ -9,13 +9,13 @@
 //! * numeric narrowing that can silently saturate (the `plan_measurement`
 //!   `as u32` overflow class),
 //! * hash-order collections inside the bit-identity crates,
-//! * wall-clock time and ambient entropy outside the bench harnesses,
+//! * wall-clock time and ambient entropy outside this tool,
 //! * `unsafe` without a written safety argument,
 //! * panics in `netan` and `netan-serve` library paths.
 //!
 //! The scanner is a hand-rolled, dependency-free token lexer
-//! ([`lexer`]) — the same offline-first move as the in-tree
-//! criterion/proptest shims — and the rule registry lives in [`rules`].
+//! ([`lexer`]) — the same offline-first move as the in-tree proptest
+//! shim — and the rule registry lives in [`rules`].
 //! Run it with `cargo run -p devtools --bin netan-lint -- --deny`; see
 //! `crates/devtools/RULES.md` for the rule reference and suppression
 //! syntax.

@@ -9,7 +9,7 @@
 //! * [`NONDET_COLLECTION`] — hash-order nondeterminism vs the
 //!   byte-identity contract every engine promises,
 //! * [`WALLCLOCK_AND_ENTROPY`] — wall-clock time and ambient randomness
-//!   outside the benchmarking crates,
+//!   anywhere in the workspace but this tool,
 //! * [`UNSAFE_NEEDS_SAFETY`] — the AVX2 `unsafe` blocks added for the
 //!   batched noise path,
 //! * [`PANIC_IN_LIB`] — `unwrap`/`expect`/`panic!` in `netan` and
@@ -22,7 +22,7 @@ use crate::{Diagnostic, FileCtx, FileKind};
 pub const LOSSY_CAST: &str = "lossy-cast";
 /// `HashMap`/`HashSet` in the crates that promise bit-identical results.
 pub const NONDET_COLLECTION: &str = "nondeterministic-collection";
-/// `Instant::now` / `SystemTime` / `rand` outside bench and devtools.
+/// `Instant::now` / `SystemTime` / `rand` outside devtools.
 pub const WALLCLOCK_AND_ENTROPY: &str = "wallclock-and-entropy";
 /// `unsafe` blocks need `// SAFETY:`, `unsafe fn`s need `# Safety` docs.
 pub const UNSAFE_NEEDS_SAFETY: &str = "unsafe-needs-safety";
@@ -47,7 +47,7 @@ pub const SUPPRESSIBLE: &[&str] = &[
 ];
 
 /// Library crates whose shipped code paths must not silently narrow
-/// numbers. Test-infrastructure crates (`bench`, `criterion`, `proptest`,
+/// numbers. The harness and tooling crates (`bench`, `proptest`,
 /// `devtools`) are exempt.
 const LOSSY_CAST_CRATES: &[&str] = &[
     "core", "mixsig", "dsp", "sigen", "dut", "sdeval", "ate", "serve",
@@ -57,10 +57,12 @@ const LOSSY_CAST_CRATES: &[&str] = &[
 /// results; hash-order iteration is banned anywhere inside them.
 const DETERMINISTIC_CRATES: &[&str] = &["core", "mixsig", "sdeval", "serve"];
 
-/// Crates allowed to read wall-clock time and ambient entropy: the bench
-/// harnesses and this tool. Everything else derives timing from simulated
-/// clocks and randomness from seeded streams.
-const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["bench", "criterion", "devtools"];
+/// Crates allowed to read wall-clock time and ambient entropy: only this
+/// tool. Everything else — the figure harnesses in `bench` included —
+/// derives timing from simulated clocks and randomness from seeded
+/// streams. (Wall-clock measurement lives in `perfbench`, outside the
+/// workspace.)
+const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["devtools"];
 
 /// Cast targets that can truncate, wrap, or saturate. `as f64` is exempt:
 /// every integer the workspace feeds it is far below 2⁵³, and flagging it

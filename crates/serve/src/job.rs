@@ -173,10 +173,13 @@ impl JobRequest {
     /// # Errors
     ///
     /// [`ReportParseError`] on a missing/mistyped field, an unknown DUT
-    /// family or stopping policy, an empty or non-escalating stage
-    /// list, a zero shard size, or an empty seed range — every
-    /// constructor precondition is checked here so untrusted input can
-    /// never reach a library assert.
+    /// family or stopping policy, a mask point with a non-positive or
+    /// non-finite frequency or inverted/NaN limits, an empty or
+    /// non-escalating stage list, a zero shard size, or an empty seed
+    /// range. Masks and schedules are built through the library's
+    /// fallible constructors ([`MaskPoint::try_new`],
+    /// [`EscalationSchedule::try_new`]), so untrusted input can never
+    /// reach a library assert.
     pub fn from_json(doc: &Json) -> Result<Self, ReportParseError> {
         let dut = doc.field("dut")?;
         let family = dut.field("family")?.as_str()?;
@@ -210,11 +213,11 @@ impl JobRequest {
         }
         let mut mask = GainMask::new();
         for m in plan_doc.field("mask")?.as_arr()? {
-            mask = mask.with_point(MaskPoint {
-                frequency: Hertz(m.field("freq_hz")?.as_f64()?),
-                min_db: m.field("min_db")?.as_f64()?,
-                max_db: m.field("max_db")?.as_f64()?,
-            });
+            mask = mask.with_point(MaskPoint::try_new(
+                Hertz(m.field("freq_hz")?.as_f64()?),
+                m.field("min_db")?.as_f64()?,
+                m.field("max_db")?.as_f64()?,
+            )?);
         }
         let plan = LotPlan::new(&grid, mask);
 
@@ -247,17 +250,7 @@ impl JobRequest {
             };
             stages.push(config);
         }
-        // `EscalationSchedule::new` asserts these; check them first so a
-        // malformed frame is a typed error, not a panic.
-        if stages.is_empty() {
-            return Err(ReportParseError::doc("schedule needs at least one stage"));
-        }
-        if stages.windows(2).any(|w| w[0].periods >= w[1].periods) {
-            return Err(ReportParseError::doc(
-                "escalation stages must strictly increase periods",
-            ));
-        }
-        let mut schedule = EscalationSchedule::new(stages).with_stopping(stopping);
+        let mut schedule = EscalationSchedule::try_new(stages)?.with_stopping(stopping);
         if let budget @ Json::Num(_) = sched_doc.field("budget_s")? {
             schedule = schedule.with_budget(Seconds(budget.as_f64()?));
         }
@@ -708,20 +701,54 @@ mod tests {
         ] {
             assert!(ClientFrame::parse(doc).is_err(), "accepted: {doc:?}");
         }
-        // Constructor preconditions become parse errors, not asserts.
+        // Constructor preconditions become parse errors, not asserts —
+        // each for its own reason.
         let base = ClientFrame::Submit(Box::new(request())).render();
-        for (needle, replacement) in [
-            ("\"seed_end\":8", "\"seed_end\":0"),
-            ("\"shard_devices\":2", "\"shard_devices\":0"),
-            ("\"stopping\":\"staged\"", "\"stopping\":\"psychic\""),
+        let mask_200 = "\"freq_hz\":200,\"min_db\":-1,\"max_db\":1";
+        for (needle, replacement, reason) in [
+            ("\"seed_end\":8", "\"seed_end\":0", "empty seed range"),
+            (
+                "\"shard_devices\":2",
+                "\"shard_devices\":0",
+                "shard_devices",
+            ),
+            (
+                "\"stopping\":\"staged\"",
+                "\"stopping\":\"psychic\"",
+                "unknown stopping policy",
+            ),
             (
                 "\"stages\":[{\"periods\":50",
                 "\"stages\":[{\"periods\":500",
+                "strictly increase M (500 then 200)",
+            ),
+            (
+                mask_200,
+                "\"freq_hz\":200,\"min_db\":1,\"max_db\":-1",
+                "mask limits inverted at 200 Hz",
+            ),
+            (
+                mask_200,
+                "\"freq_hz\":200,\"min_db\":null,\"max_db\":1",
+                "mask limits inverted at 200 Hz",
+            ),
+            (
+                mask_200,
+                "\"freq_hz\":200,\"min_db\":-1,\"max_db\":null",
+                "mask limits inverted at 200 Hz",
+            ),
+            (
+                mask_200,
+                "\"freq_hz\":0,\"min_db\":-1,\"max_db\":1",
+                "mask frequency must be positive and finite",
             ),
         ] {
             let mutated = base.replace(needle, replacement);
             assert_ne!(mutated, base, "mutation must apply: {needle}");
-            assert!(ClientFrame::parse(&mutated).is_err(), "accepted: {needle}");
+            match ClientFrame::parse(&mutated) {
+                Err(e) => assert!(e.message.contains(reason), "{replacement}: {e}"),
+                Ok(_) => panic!("accepted: {replacement}"),
+            }
         }
     }
 

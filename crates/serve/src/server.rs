@@ -15,15 +15,26 @@
 //!
 //! Unparseable frames are answered with a `rejected` frame carrying a
 //! `bad_frame` error — the connection stays open, the service keeps
-//! running; no input a client can send brings the process down.
+//! running; no input a client can send brings the process down. A frame
+//! longer than [`MAX_FRAME_BYTES`] is rejected the same way, but then the
+//! connection closes: the server stops reading it rather than buffer a
+//! line that may never end.
 
 use crate::job::{ClientFrame, ServerFrame, WireError};
 use crate::service::{JobEvent, ScreenService, ServiceConfig};
-use std::io::{self, BufRead, BufReader, Write};
+use mixsig::cast::u64_from_usize;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+
+/// The longest client frame the server reads, its newline included. A
+/// `submit` frame is a few hundred bytes — a custom grid of thousands of
+/// frequencies still fits many times over — and the cap bounds what one
+/// connection can make the server buffer, in the spirit of
+/// [`netan::json::MAX_DEPTH`].
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 struct Shared {
     service: ScreenService,
@@ -137,10 +148,32 @@ fn send(writer: &mut TcpStream, frame: &ServerFrame) -> io::Result<()> {
 
 fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
+    let mut reader = BufReader::new(stream);
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        // One byte past the cap is enough to tell an over-long frame.
+        let read = (&mut reader)
+            .take(u64_from_usize(MAX_FRAME_BYTES) + 1)
+            .read_until(b'\n', &mut frame)?;
+        if read == 0 {
+            return Ok(());
+        }
+        if frame.len() > MAX_FRAME_BYTES {
+            return send(
+                &mut writer,
+                &ServerFrame::Rejected {
+                    error: WireError::BadFrame {
+                        message: format!(
+                            "frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"
+                        ),
+                    },
+                },
+            );
+        }
+        let line = std::str::from_utf8(&frame)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            .trim();
         if line.is_empty() {
             continue;
         }
@@ -226,5 +259,4 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             }
         }
     }
-    Ok(())
 }

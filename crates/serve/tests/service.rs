@@ -1,6 +1,7 @@
 //! Integration tests for the screening service: byte-identity against
 //! the in-process engines, fault containment, backpressure, budgets,
-//! checkpoint resume, graceful shutdown, and the TCP round trip.
+//! checkpoint resume, graceful shutdown, the TCP round trip, and the
+//! client frame-length cap.
 
 use dut::ActiveRcFilter;
 use mixsig::units::Seconds;
@@ -8,6 +9,7 @@ use netan::{
     lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine, LotPlan,
     LotReport,
 };
+use netan_serve::server::MAX_FRAME_BYTES;
 use netan_serve::{
     ClientFrame, DutDescription, FaultPlan, JobEvent, JobRequest, JobServer, ScreenService,
     ServeError, ServerFrame, ServiceConfig, WireError,
@@ -373,4 +375,55 @@ fn tcp_round_trip_streams_and_matches_the_monolith() {
                 .unwrap_or(true)
         }
     );
+}
+
+#[test]
+fn over_long_frames_are_rejected_typed_and_close_only_their_connection() {
+    let server = JobServer::start("127.0.0.1:0", ServiceConfig::new().with_workers(2))
+        .expect("bind an ephemeral port");
+    let addr = server.addr();
+    let sibling = TcpStream::connect(addr).expect("connect sibling");
+
+    // One byte past the cap and no newline — exactly what the server
+    // reads before it decides, so it closes with nothing left unread.
+    let flood = TcpStream::connect(addr).expect("connect flood");
+    // Without the cap the server would wait for a newline forever; fail
+    // instead of hanging.
+    flood
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("set timeout");
+    (&flood)
+        .write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("write flood");
+    let mut reader = BufReader::new(flood);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read rejection");
+    match ServerFrame::parse(line.trim()).expect("parse rejection") {
+        ServerFrame::Rejected {
+            error: WireError::BadFrame { message },
+        } => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected bad_frame rejection, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("read to EOF"), 0);
+
+    // The sibling connection still screens a job to the monolith's bytes.
+    let job = request(0, 2, 1);
+    let reference = monolithic(&job);
+    let submit = ClientFrame::Submit(Box::new(job)).render();
+    (&sibling)
+        .write_all(format!("{submit}\n").as_bytes())
+        .expect("write submit");
+    let mut reader = BufReader::new(sibling);
+    let report = loop {
+        line.clear();
+        reader.read_line(&mut line).expect("read frame");
+        match ServerFrame::parse(line.trim()).expect("parse frame") {
+            ServerFrame::Finished { report, .. } => break report,
+            ServerFrame::Accepted { .. } | ServerFrame::Progress { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    assert_eq!(lot_json(&report), lot_json(&reference));
+    server.shutdown();
 }

@@ -64,6 +64,39 @@ fn parallel_escalated_matches_serial_ideal() {
         .run_escalated(&factory, &seeds, &plan, &schedule)
         .unwrap();
     assert_eq!(serial, nested);
+
+    // Against running every device at the deepest stage: verdict parity
+    // exactly as far as the enclosure math guarantees it, at strictly
+    // less simulated test time.
+    let last = schedule.stages().len() - 1;
+    let deep = LotEngine::with_threads(8)
+        .run(&factory, &seeds, &plan, schedule.stages()[last])
+        .unwrap();
+    for (e, d) in serial.devices().iter().zip(deep.devices()) {
+        if e.stage == last {
+            // The identical measurement: the verdict matches bit for bit.
+            assert_eq!(e.verdict, d.verdict, "seed {}", e.seed);
+        } else {
+            // Unbudgeted, so a device binned early is decided, and the
+            // deep run — whose enclosure holds the same truth — may at
+            // worst be ambiguous about it, never contradict it.
+            assert_ne!(e.verdict, SpecVerdict::Ambiguous, "seed {}", e.seed);
+            assert!(
+                d.verdict == e.verdict || d.verdict == SpecVerdict::Ambiguous,
+                "seed {}: binned {:?} at M = {}, deepest stage says {:?}",
+                e.seed,
+                e.verdict,
+                e.periods,
+                d.verdict
+            );
+        }
+    }
+    assert!(
+        serial.spent() < deep.spent(),
+        "escalation spent {:?}, not less than everyone at the deepest M ({:?})",
+        serial.spent(),
+        deep.spent()
+    );
 }
 
 #[test]
