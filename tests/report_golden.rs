@@ -33,6 +33,11 @@ const ESCALATED_FIXTURE: &str = concat!(
     "/../../tests/fixtures/lot_escalated.json"
 );
 
+const CMOS_ESCALATED_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/fixtures/lot_cmos_escalated.json"
+);
+
 const V1_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/fixtures/lot_small_v1.json"
@@ -92,6 +97,31 @@ fn escalated_seeded_lot() -> LotReport {
         .unwrap()
 }
 
+/// A seeded escalated lot on the noisy 0.35 µm analyzer: borderline
+/// devices (σ = 9 %) screened at `M = 50` and re-tested at `M = 200`,
+/// so the fixture pins the kT/C and comparator noise streams, the
+/// non-ideal modulators and the chopped offset cancellation — the path
+/// the ideal-profile fixtures above never draw a noise sample on. The
+/// seeds are the first twelve in `0..400` that this analyzer's `M = 50`
+/// screen leaves ambiguous, so every device runs at both depths.
+fn cmos_escalated_seeded_lot() -> LotReport {
+    let plan = LotPlan::from_mask(GainMask::paper_lowpass());
+    let seeds = [3u64, 22, 38, 47, 48, 51, 62, 73, 74, 77, 81, 95];
+    let schedule = EscalationSchedule::from_periods(AnalyzerConfig::cmos_035um(7), &[50, 200]);
+    LotEngine::serial()
+        .run_escalated(
+            |seed| {
+                ActiveRcFilter::paper_dut()
+                    .linearized()
+                    .fabricate(0.09, seed)
+            },
+            &seeds,
+            &plan,
+            &schedule,
+        )
+        .unwrap()
+}
+
 fn check_golden(json: &str, path: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, format!("{json}\n")).unwrap();
@@ -113,6 +143,16 @@ fn lot_json_matches_golden_fixture() {
 #[test]
 fn escalated_lot_json_matches_golden_fixture() {
     check_golden(&lot_json(&escalated_seeded_lot()), ESCALATED_FIXTURE);
+}
+
+#[test]
+fn cmos_escalated_lot_json_matches_golden_fixture() {
+    let report = cmos_escalated_seeded_lot();
+    // The fixture premise: the screen leaves every device ambiguous, so
+    // the noisy path runs at both depths for all of them.
+    assert_eq!(report.stages().len(), 2);
+    assert_eq!(report.stages()[1].tested, report.len());
+    check_golden(&lot_json(&report), CMOS_ESCALATED_FIXTURE);
 }
 
 #[test]
@@ -195,7 +235,7 @@ fn parse_lot_json_round_trips_the_golden_fixtures() {
     // The v4 parser re-renders its own documents byte for byte — the
     // property checkpoint/resume leans on, proven here against the
     // blessed fixtures rather than a fresh in-memory report.
-    for path in [FIXTURE, ESCALATED_FIXTURE] {
+    for path in [FIXTURE, ESCALATED_FIXTURE, CMOS_ESCALATED_FIXTURE] {
         let golden = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("fixture {path}: {e} (bless with UPDATE_GOLDEN=1)"));
         let report = parse_lot_json(&golden).unwrap_or_else(|e| panic!("{path}: {e}"));
