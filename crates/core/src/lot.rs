@@ -1365,7 +1365,9 @@ impl LotEngine {
         let time = plot.points().iter().fold(Seconds(0.0), |acc, p| {
             acc + measurement_time(charge_periods, p.frequency)
         });
-        let mut stage_times = prior.to_vec();
+        // Exact capacity: every retained report keeps this vector.
+        let mut stage_times = Vec::with_capacity(prior.len() + 1);
+        stage_times.extend_from_slice(prior);
         stage_times.push(time);
         // The cumulative spend continues the same left fold the prior
         // stages accumulated, so stage sums, device sums and `spent`
@@ -2011,6 +2013,10 @@ mod tests {
         let c0 = schedule.device_stage_time(0, plan.grid()).value();
         let c1 = schedule.device_stage_time(1, plan.grid()).value();
         for d in report.devices() {
+            // One charge per executed stage, held at exact capacity: every
+            // retained report keeps this vector.
+            assert_eq!(d.stage_times.len(), d.stage + 1);
+            assert_eq!(d.stage_times.capacity(), d.stage_times.len());
             match d.stage {
                 0 => {
                     assert_eq!(d.periods, 30);

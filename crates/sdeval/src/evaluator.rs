@@ -342,13 +342,14 @@ impl SinewaveEvaluator {
     /// Runs one (or two, when chopping) acquisition windows; returns the
     /// processed signatures and samples consumed.
     ///
-    /// The window is drained in blocks: the source fills the sample
-    /// buffer, the square-wave polarities for the block are tabulated
-    /// once, and each modulator then consumes the whole block in a tight
-    /// loop. The two modulators are independent state machines with
-    /// independent noise streams, so de-interleaving them per block is
-    /// bit-identical to the per-sample interleave (the signatures are
-    /// exact integer sums either way).
+    /// The window is drained in blocks. One period of both square-wave
+    /// polarities is tabulated once per acquisition; per block the source
+    /// fills the sample buffer, the polarity buffers are copied from that
+    /// table at a running phase (each chop window restarts at phase 0),
+    /// and the two modulators consume the block in one fused loop. The
+    /// modulators are independent state machines with independent noise
+    /// streams, each stepped in sample order, so the signatures are the
+    /// exact integer sums of the per-sample interleave.
     fn acquire(
         &mut self,
         source: &mut dyn BlockSource,
@@ -359,6 +360,7 @@ impl SinewaveEvaluator {
         let block_cap = mixsig::cast::u64_from_usize(self.config.block_samples.max(1));
         // netan-lint: allow(lossy-cast): the value is ≤ block_samples, which is already a usize, so the cast is exact
         let block = block_cap.min(window) as usize;
+        let table = sq.polarity_table();
         let mut buf = vec![0.0f64; block];
         let mut q1 = vec![false; block];
         let mut q2 = vec![false; block];
@@ -366,16 +368,20 @@ impl SinewaveEvaluator {
             let mut i1 = 0i64;
             let mut i2 = 0i64;
             let mut t = 0u64;
+            let mut phase = 0usize;
             while t < window {
                 let len = block.min(usize::try_from(window - t).unwrap_or(usize::MAX));
                 src.fill_block(&mut buf[..len]);
-                for (j, (b1, b2)) in q1[..len].iter_mut().zip(&mut q2[..len]).enumerate() {
-                    let s = t + mixsig::cast::u64_from_usize(j);
-                    *b1 = (sq.in_phase(s) > 0) ^ invert;
-                    *b2 = (sq.quadrature(s) > 0) ^ invert;
-                }
-                i1 += this.mod_i.process_block(&buf[..len], &q1[..len]);
-                i2 += this.mod_q.process_block(&buf[..len], &q2[..len]);
+                phase = table.fill(phase, invert, &mut q1[..len], &mut q2[..len]);
+                let (a1, a2) = SigmaDeltaModulator::process_quadrature_block(
+                    &mut this.mod_i,
+                    &mut this.mod_q,
+                    &buf[..len],
+                    &q1[..len],
+                    &q2[..len],
+                );
+                i1 += a1;
+                i2 += a2;
                 t += mixsig::cast::u64_from_usize(len);
             }
             (i1, i2)
@@ -609,28 +615,76 @@ mod tests {
         assert!((m.amplitude.est - 0.2).abs() < 5e-3, "{}", m.amplitude.est);
     }
 
+    /// The Fig. 10c distortion workload: a fundamental plus its second
+    /// and third harmonics, sample by sample.
+    fn distorted_source() -> impl FnMut() -> f64 {
+        let f0 = 1.0 / 96.0;
+        let mt = Multitone::new(0.0)
+            .with_tone(Tone::new(f0, 0.3, 0.8))
+            .with_tone(Tone::new(2.0 * f0, 0.03, -0.4))
+            .with_tone(Tone::new(3.0 * f0, 0.01, 1.9));
+        let mut n = 0usize;
+        move || {
+            let v = mt.sample(n);
+            n += 1;
+            v
+        }
+    }
+
+    /// Chopped signatures from the per-sample reference: both modulators
+    /// stepped one cycle at a time with `in_phase`/`quadrature` evaluated
+    /// at every sample — none of the block path's polarity tables or
+    /// fused loop.
+    fn per_sample_signatures(cfg: &EvaluatorConfig, k: u32, m: u32) -> (f64, f64) {
+        let SinewaveEvaluator {
+            mut mod_i,
+            mut mod_q,
+            ..
+        } = SinewaveEvaluator::new(cfg.clone());
+        let sq = QuadratureSquareWave::new(k, cfg.n).unwrap();
+        let mut src = distorted_source();
+        let count = |bit: bool| if bit { 1i64 } else { -1 };
+        let mut window = |invert: bool| {
+            let (mut a1, mut a2) = (0i64, 0i64);
+            for s in 0..u64::from(m) * u64::from(cfg.n) {
+                let x = src();
+                a1 += count(mod_i.step(x, (sq.in_phase(s) > 0) ^ invert));
+                a2 += count(mod_q.step(x, (sq.quadrature(s) > 0) ^ invert));
+            }
+            (a1, a2)
+        };
+        let (p1, p2) = window(false);
+        let (n1, n2) = window(true);
+        ((p1 - n1) as f64 / 2.0, (p2 - n2) as f64 / 2.0)
+    }
+
     #[test]
     fn block_length_never_changes_a_measurement() {
-        // Per-sample wrapper == block path at every block length,
-        // including one block per window, for ideal and noisy hardware.
+        // Per-sample reference == per-sample wrapper == block path at
+        // every block length — including lengths that straddle the
+        // 96-sample period (95, 97) and one block per window — for ideal
+        // and noisy hardware, at the harmonics distortion mode measures.
         for mk_cfg in [EvaluatorConfig::ideal as fn() -> EvaluatorConfig, || {
             EvaluatorConfig::cmos_035um(9)
         }] {
-            let mut reference_ev = SinewaveEvaluator::new(mk_cfg());
-            let mut src = tone_source(1.0 / 96.0, 0.3, 0.8);
-            let reference = reference_ev.measure_harmonic(&mut src, 1, 50).unwrap();
-            for block in [1usize, 7, 64, 1024, usize::MAX] {
-                let mut ev = SinewaveEvaluator::new(mk_cfg().with_block_samples(block));
-                let tone = Tone::new(1.0 / 96.0, 0.3, 0.8);
-                let mut n = 0usize;
-                let mut closure = move || {
-                    let v = tone.sample(n);
-                    n += 1;
-                    v
-                };
-                let mut blocks = FnSource(&mut closure);
-                let got = ev.measure_harmonic_blocks(&mut blocks, 1, 50).unwrap();
-                assert_eq!(reference, got, "block = {block}");
+            for k in [1u32, 2, 3] {
+                let mut reference_ev = SinewaveEvaluator::new(mk_cfg());
+                let reference = reference_ev
+                    .measure_harmonic(&mut distorted_source(), k, 50)
+                    .unwrap();
+                let sigs = &reference.signatures;
+                assert_eq!(
+                    (sigs.i1, sigs.i2),
+                    per_sample_signatures(&mk_cfg(), k, 50),
+                    "k = {k}"
+                );
+                for block in [1usize, 7, 64, 95, 97, 1024, usize::MAX] {
+                    let mut ev = SinewaveEvaluator::new(mk_cfg().with_block_samples(block));
+                    let mut closure = distorted_source();
+                    let mut blocks = FnSource(&mut closure);
+                    let got = ev.measure_harmonic_blocks(&mut blocks, k, 50).unwrap();
+                    assert_eq!(reference, got, "k = {k}, block = {block}");
+                }
             }
         }
     }

@@ -256,9 +256,10 @@ impl SigmaDeltaModulator {
     /// `−1` per low bit) — exactly what the signature counters integrate.
     /// Bit-identical to calling [`step`](Self::step) in a loop (the
     /// reference path), but runs on the hoisted per-polarity
-    /// [`ScStepPlan`]s: the comparator constants and all integrator
-    /// per-step invariants are computed once per modulator instead of once
-    /// per cycle, and the kT/C draws come from the batched noise buffer.
+    /// [`ScStepPlan`]s: the integrator's per-step invariants are computed
+    /// once per modulator and the comparator constants once per block
+    /// instead of once per cycle, and the kT/C draws come from the
+    /// batched noise buffer.
     ///
     /// # Panics
     ///
@@ -269,27 +270,87 @@ impl SigmaDeltaModulator {
             q.len(),
             "sample and polarity blocks must have equal length"
         );
-        let cmp_offset = self.config.comparator.offset.value();
-        let noise_rms = self.config.comparator.noise_rms.value();
-        let hysteresis = self.config.comparator.hysteresis.value();
-        let vref = self.config.vref.value();
+        let consts = CycleConstants::of(&self.config);
         let mut acc = 0i64;
         for (&xi, &qi) in x.iter().zip(q) {
-            // Latch decision on the previous integrator state — the same
-            // expression shape as `step` (sum, noise draw, then the signed
-            // hysteresis term subtracted).
-            let hyst_sign = if self.last_bit { 1.0 } else { -1.0 };
-            let threshold =
-                cmp_offset + self.comparator_noise.gaussian(noise_rms) - hyst_sign * hysteresis;
-            let bit = self.integrator.output() >= threshold;
-            let d_sign = if bit { 1.0 } else { -1.0 };
-            let plan = if qi { &self.plan_pos } else { &self.plan_neg };
-            self.integrator
-                .step_planned(plan, &[xi, d_sign * vref, self.input_offset]);
-            self.last_bit = bit;
-            acc += if bit { 1 } else { -1 };
+            acc += self.cycle(&consts, xi, qi);
         }
         acc
+    }
+
+    /// Runs the evaluator's two matched modulators over one block in a
+    /// single fused loop: `mod_i` consumes `(x, q1)` and `mod_q` consumes
+    /// `(x, q2)`. The two recurrences are independent, so interleaving
+    /// them lets their latency chains overlap; each modulator still draws
+    /// from its own noise sources in the same order, so the result is
+    /// bit-identical to two [`process_block`](Self::process_block) calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three blocks differ in length.
+    pub(crate) fn process_quadrature_block(
+        mod_i: &mut Self,
+        mod_q: &mut Self,
+        x: &[f64],
+        q1: &[bool],
+        q2: &[bool],
+    ) -> (i64, i64) {
+        assert!(
+            x.len() == q1.len() && x.len() == q2.len(),
+            "sample and polarity blocks must have equal length"
+        );
+        let consts_i = CycleConstants::of(&mod_i.config);
+        let consts_q = CycleConstants::of(&mod_q.config);
+        let (mut acc_i, mut acc_q) = (0i64, 0i64);
+        for ((&xi, &b1), &b2) in x.iter().zip(q1).zip(q2) {
+            acc_i += mod_i.cycle(&consts_i, xi, b1);
+            acc_q += mod_q.cycle(&consts_q, xi, b2);
+        }
+        (acc_i, acc_q)
+    }
+
+    /// One master-clock cycle on the hoisted step plans; returns the
+    /// output bit as a signed count (`+1`/`−1`). The single copy of the
+    /// block-path arithmetic, shared by both block loops.
+    #[inline(always)]
+    fn cycle(&mut self, consts: &CycleConstants, x: f64, q: bool) -> i64 {
+        // Latch decision on the previous integrator state — the same
+        // expression shape as `step` (sum, noise draw, then the signed
+        // hysteresis term subtracted).
+        let hyst_sign = if self.last_bit { 1.0 } else { -1.0 };
+        let threshold = consts.cmp_offset + self.comparator_noise.gaussian(consts.noise_rms)
+            - hyst_sign * consts.hysteresis;
+        let bit = self.integrator.output() >= threshold;
+        let d_sign = if bit { 1.0 } else { -1.0 };
+        let plan = if q { &self.plan_pos } else { &self.plan_neg };
+        self.integrator
+            .step_planned(plan, &[x, d_sign * consts.vref, self.input_offset]);
+        self.last_bit = bit;
+        if bit {
+            1
+        } else {
+            -1
+        }
+    }
+}
+
+/// The comparator and DAC constants of one modulator, read once per
+/// block rather than once per cycle.
+struct CycleConstants {
+    cmp_offset: f64,
+    noise_rms: f64,
+    hysteresis: f64,
+    vref: f64,
+}
+
+impl CycleConstants {
+    fn of(config: &SdmConfig) -> Self {
+        Self {
+            cmp_offset: config.comparator.offset.value(),
+            noise_rms: config.comparator.noise_rms.value(),
+            hysteresis: config.comparator.hysteresis.value(),
+            vref: config.vref.value(),
+        }
     }
 }
 
@@ -439,6 +500,49 @@ mod tests {
             }
             assert_eq!(want, got);
             assert_eq!(by_step.integrator_state(), by_block.integrator_state());
+        }
+    }
+
+    #[test]
+    fn fused_quadrature_block_matches_two_process_block_calls() {
+        // Ragged chunks (1, 7, 96, 250, …) on ideal and noisy hardware:
+        // the fused loop must reproduce both signatures and both
+        // integrator states of the separate calls, chunk by chunk.
+        for cfg in [SdmConfig::ideal(), SdmConfig::cmos_035um(23)] {
+            let with_seed = |seed: u64| SdmConfig {
+                seed,
+                ..cfg.clone()
+            };
+            let (mut sep_i, mut sep_q) = (
+                SigmaDeltaModulator::new(with_seed(47)),
+                SigmaDeltaModulator::new(with_seed(48)),
+            );
+            let (mut fused_i, mut fused_q) = (
+                SigmaDeltaModulator::new(with_seed(47)),
+                SigmaDeltaModulator::new(with_seed(48)),
+            );
+            let x: Vec<f64> = (0..2000)
+                .map(|i| 0.6 * (2.0 * std::f64::consts::PI * i as f64 / 96.0 + 0.3).sin())
+                .collect();
+            let q1: Vec<bool> = (0..2000).map(|i| i % 96 < 48).collect();
+            let q2: Vec<bool> = (0..2000).map(|i| (i + 72) % 96 < 48).collect();
+            let mut t = 0;
+            for len in [1usize, 7, 96, 250, 1, 1000, 645] {
+                let (x, q1, q2) = (&x[t..t + len], &q1[t..t + len], &q2[t..t + len]);
+                let want = (sep_i.process_block(x, q1), sep_q.process_block(x, q2));
+                let got = SigmaDeltaModulator::process_quadrature_block(
+                    &mut fused_i,
+                    &mut fused_q,
+                    x,
+                    q1,
+                    q2,
+                );
+                assert_eq!(want, got, "chunk at {t}");
+                assert_eq!(sep_i.integrator_state(), fused_i.integrator_state());
+                assert_eq!(sep_q.integrator_state(), fused_q.integrator_state());
+                t += len;
+            }
+            assert_eq!(t, x.len());
         }
     }
 

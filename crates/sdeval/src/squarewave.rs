@@ -106,6 +106,19 @@ impl QuadratureSquareWave {
         self.in_phase(shifted)
     }
 
+    /// Tabulates one stimulus period (`N` samples) of both polarities.
+    /// Both waves repeat every `N/k` samples, so the table covers every
+    /// sample of any window when it is walked with a running phase.
+    pub(crate) fn polarity_table(self) -> PolarityTable {
+        let (in_phase, quadrature) = (0..u64::from(self.n))
+            .map(|s| (self.in_phase(s) > 0, self.quadrature(s) > 0))
+            .unzip();
+        PolarityTable {
+            in_phase,
+            quadrature,
+        }
+    }
+
     /// Exact fundamental DFT coefficient of the sampled in-phase wave:
     /// `c = (1/N)·Σ_{n=0}^{N−1} sq(n)·e^{−2πikn/N}`.
     ///
@@ -126,9 +139,84 @@ impl QuadratureSquareWave {
     }
 }
 
+/// One period of the in-phase and quadrature polarities (`true` = `+1`),
+/// built by [`QuadratureSquareWave::polarity_table`].
+#[derive(Debug)]
+pub(crate) struct PolarityTable {
+    in_phase: Vec<bool>,
+    quadrature: Vec<bool>,
+}
+
+impl PolarityTable {
+    /// Fills `q1`/`q2` with the in-phase/quadrature polarities of the
+    /// samples from `phase` (a sample index, taken modulo `N`) on, each
+    /// XOR-ed with `invert`; returns the phase after the last sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q1.len() != q2.len()`.
+    pub(crate) fn fill(
+        &self,
+        phase: usize,
+        invert: bool,
+        q1: &mut [bool],
+        q2: &mut [bool],
+    ) -> usize {
+        assert_eq!(q1.len(), q2.len(), "polarity blocks must have equal length");
+        let period = self.in_phase.len();
+        let mut phase = phase % period;
+        let mut t = 0;
+        while t < q1.len() {
+            let len = (period - phase).min(q1.len() - t);
+            let runs = [
+                (&mut q1[t..t + len], &self.in_phase[phase..phase + len]),
+                (&mut q2[t..t + len], &self.quadrature[phase..phase + len]),
+            ];
+            for (dst, src) in runs {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = s ^ invert;
+                }
+            }
+            t += len;
+            phase = (phase + len) % period;
+        }
+        phase
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_walk_matches_per_sample_polarities() {
+        // Any window start, any block partitioning: walking the table
+        // yields exactly `in_phase`/`quadrature` sample by sample.
+        for n in [96u32, 192] {
+            for k in 1u32..=4 {
+                let sq = QuadratureSquareWave::new(k, n).unwrap();
+                let table = sq.polarity_table();
+                for start in [0u64, 1, 17, 95, 97, 250] {
+                    for invert in [false, true] {
+                        let mut phase = usize::try_from(start).unwrap();
+                        let mut s = start;
+                        for len in [1usize, 5, 96, 200, 13, 450] {
+                            let mut q1 = vec![false; len];
+                            let mut q2 = vec![true; len];
+                            phase = table.fill(phase, invert, &mut q1, &mut q2);
+                            for (j, (&b1, &b2)) in q1.iter().zip(&q2).enumerate() {
+                                let at = s + j as u64;
+                                let ctx = format!("N={n} k={k} start={start} sample {at}");
+                                assert_eq!(b1, (sq.in_phase(at) > 0) ^ invert, "{ctx}");
+                                assert_eq!(b2, (sq.quadrature(at) > 0) ^ invert, "{ctx}");
+                            }
+                            s += len as u64;
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn paper_condition_enforced() {
