@@ -204,10 +204,10 @@ impl LotPlan {
         for mp in self.mask.points() {
             let found = points
                 .iter()
-                .find(|p| p.frequency.value().to_bits() == mp.frequency.value().to_bits());
+                .find(|p| p.frequency.value().to_bits() == mp.frequency().value().to_bits());
             match found {
                 Some(p) => masked.push(*p),
-                None => return Err(Self::missing_mask_error(mp.frequency)),
+                None => return Err(Self::missing_mask_error(mp.frequency())),
             }
         }
         Ok(self.mask.classify(&masked))
@@ -1290,9 +1290,9 @@ impl LotEngine {
             let measured = plan
                 .grid()
                 .iter()
-                .any(|f| f.value().to_bits() == mp.frequency.value().to_bits());
+                .any(|f| f.value().to_bits() == mp.frequency().value().to_bits());
             if !measured {
-                return Err(LotPlan::missing_mask_error(mp.frequency));
+                return Err(LotPlan::missing_mask_error(mp.frequency()));
             }
         }
         Ok(())

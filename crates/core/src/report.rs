@@ -366,11 +366,11 @@ pub fn lot_json(report: &LotReport) -> String {
             out.push(',');
         }
         out.push_str("{\"freq_hz\":");
-        json_f64(&mut out, m.frequency.value());
+        json_f64(&mut out, m.frequency().value());
         out.push_str(",\"min_db\":");
-        json_f64(&mut out, m.min_db);
+        json_f64(&mut out, m.min_db());
         out.push_str(",\"max_db\":");
-        json_f64(&mut out, m.max_db);
+        json_f64(&mut out, m.max_db());
         out.push('}');
     }
     out.push_str("],\"counts\":");

@@ -27,14 +27,15 @@ pub enum SpecVerdict {
 }
 
 /// One mask point: gain limits at a frequency.
+///
+/// The fields are private so every mask point passes
+/// [`try_new`](Self::try_new)'s validation; read them through the
+/// accessors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaskPoint {
-    /// Frequency of the check.
-    pub frequency: Hertz,
-    /// Minimum acceptable gain, dB.
-    pub min_db: f64,
-    /// Maximum acceptable gain, dB.
-    pub max_db: f64,
+    frequency: Hertz,
+    min_db: f64,
+    max_db: f64,
 }
 
 impl MaskPoint {
@@ -82,6 +83,21 @@ impl MaskPoint {
             // netan-lint: allow(panic-in-lib): the documented panic of the trusted-input constructor; untrusted limits go through `try_new`
             Err(e) => panic!("{e}"),
         }
+    }
+
+    /// Frequency of the check.
+    pub fn frequency(&self) -> Hertz {
+        self.frequency
+    }
+
+    /// Minimum acceptable gain, dB.
+    pub fn min_db(&self) -> f64 {
+        self.min_db
+    }
+
+    /// Maximum acceptable gain, dB.
+    pub fn max_db(&self) -> f64 {
+        self.max_db
     }
 
     /// Classifies a gain enclosure against this point's limits.

@@ -32,6 +32,12 @@
 //!   exact same `(-2·ln u₁)·√ · cos(2π·u₂)` expressions through the same
 //!   `libm` calls as before, so every golden fixture and shard/checkpoint
 //!   byte-identity test is unaffected.
+//! * **Evaluation order is not draw order.** Within a refill, the default
+//!   mode evaluates the `cos(2π·u₂)` calls grouped by angle bucket (the
+//!   top 6 bits of each angle draw), so libm's range and quadrant
+//!   branches predict well, and then forms every product in draw order.
+//!   Each cosine is the same call on the same argument, so the order is
+//!   invisible in the stream; it only makes the refill faster.
 //!
 //! ## `fast-math` caveat
 //!
@@ -54,9 +60,9 @@ pub const ROOM_TEMPERATURE_K: f64 = 300.15;
 
 /// Number of standard normals synthesized per internal refill.
 ///
-/// Small enough that a refill (2 KiB of normals + 4 KiB of raw draws on
-/// the stack) stays cache-resident; large enough to amortize the batched
-/// transcendental loop.
+/// Small enough that a refill (2 KiB of normals, 4 KiB of raw draws and
+/// four 2 KiB scratch arrays on the stack) stays cache-resident; large
+/// enough to amortize the batched transcendental loop.
 pub const NORMAL_REFILL: usize = 256;
 
 /// RMS voltage of `kT/C` sampling noise for a capacitance in farads.
@@ -181,6 +187,46 @@ unsafe fn deinterleave_uniforms_avx2(
     u2: &mut [f64; NORMAL_REFILL],
 ) {
     deinterleave_uniforms(raw, u1, u2);
+}
+
+/// Number of angle buckets the libm refill sorts its cosine arguments
+/// into (see [`angle_bucket_order`]).
+const COS_BUCKETS: usize = 64;
+
+/// Bucket of an angle draw: its top 6 bits, which equal `floor(64·u₂)`
+/// for the uniform `u₂` that [`uniform_from_bits`] builds from it.
+#[inline(always)]
+fn angle_bucket(raw: u64) -> usize {
+    // netan-lint: allow(lossy-cast): `raw >> 58` is at most 6 bits, well inside usize range
+    (raw >> 58) as usize
+}
+
+/// Writes the batch indices `0..NORMAL_REFILL` into `order`, stably
+/// counting-sorted by the [`angle_bucket`] of each normal's angle draw
+/// (`raw[2i + 1]`).
+///
+/// The bucket edges are multiples of `2π/64` rad, so they line up with
+/// the quadrant and octant boundaries where libm's `cos` picks its range
+/// reduction and polynomial; evaluating in this order makes those picks
+/// predictable instead of random.
+#[inline(always)]
+fn angle_bucket_order(raw: &[u64; 2 * NORMAL_REFILL], order: &mut [usize; NORMAL_REFILL]) {
+    let mut cursor = [0usize; COS_BUCKETS];
+    for pair in raw.chunks_exact(2) {
+        cursor[angle_bucket(pair[1])] += 1;
+    }
+    // Exclusive prefix sum: each bucket's count becomes its first slot.
+    let mut start = 0;
+    for c in &mut cursor {
+        let n = *c;
+        *c = start;
+        start += n;
+    }
+    for (i, pair) in raw.chunks_exact(2).enumerate() {
+        let c = &mut cursor[angle_bucket(pair[1])];
+        order[*c] = i;
+        *c += 1;
+    }
 }
 
 /// Polynomial transcendental kernels for the opt-in fast-math refill.
@@ -467,6 +513,12 @@ impl NoiseSource {
     /// batch: one block of raw draws, then the Box–Muller transform over
     /// the contiguous buffer. Normal `i` of the batch uses raw draws
     /// `2i` and `2i + 1` — the per-call draw order exactly.
+    ///
+    /// The default (libm) path evaluates the batch's cosines in
+    /// [`angle_bucket_order`] rather than draw order, into a scratch
+    /// array, then forms `√(−2·ln u₁)·cos` in draw order. Same calls on
+    /// the same arguments, so the normals are bit-identical; sorted
+    /// angles keep libm's argument-range branches predictable.
     #[inline(never)]
     fn refill(&mut self) {
         let mut raw = [0u64; 2 * NORMAL_REFILL];
@@ -491,10 +543,17 @@ impl NoiseSource {
             self.pos = 0;
             return;
         }
-        for ((z, &a), &b) in self.buf.iter_mut().zip(u1.iter()).zip(u2.iter()) {
-            // Box–Muller, through the same libm calls as the historical
-            // per-call path — byte-identical stream by construction.
-            *z = (-2.0 * a.ln()).sqrt() * (2.0 * std::f64::consts::PI * b).cos();
+        // Box–Muller, through the same libm calls on the same arguments as
+        // the historical per-call path — byte-identical stream by
+        // construction; only the cosines run in bucket order.
+        let mut order = [0usize; NORMAL_REFILL];
+        angle_bucket_order(&raw, &mut order);
+        let mut cos = [0.0f64; NORMAL_REFILL];
+        for &i in &order {
+            cos[i] = (2.0 * std::f64::consts::PI * u2[i]).cos();
+        }
+        for ((z, &a), &c) in self.buf.iter_mut().zip(u1.iter()).zip(cos.iter()) {
+            *z = (-2.0 * a.ln()).sqrt() * c;
         }
         self.pos = 0;
     }
@@ -542,14 +601,90 @@ mod tests {
 
     #[test]
     fn buffered_stream_matches_scalar_reference_across_refills() {
-        // > 3 refills worth of draws: the batched pipeline must reproduce
-        // the per-call Box–Muller sequence bit-for-bit.
-        let mut src = NoiseSource::new(1234);
-        let mut rng = Xoshiro256pp::seed_from_u64(1234);
-        for i in 0..(3 * NORMAL_REFILL + 17) {
-            let want = scalar_standard_normal(&mut rng);
-            let got = src.gaussian(1.0);
-            assert_eq!(want, got, "normal {i} diverged");
+        // 64+ refills per seed, drained alternately by single draws and by
+        // ragged `fill_gaussian` chunks that straddle refill boundaries:
+        // the batched, angle-bucketed pipeline must reproduce the per-call
+        // Box–Muller sequence bit-for-bit.
+        let chunks = [1, 37, 255, 256, 257, 3, 511];
+        for seed in [0, 1, 2, 7, 42, 1234, 0xDEAD_BEEF, u64::MAX] {
+            let mut src = NoiseSource::new(seed);
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut drawn = 0;
+            let mut buf = [0.0; 511];
+            for &len in chunks.iter().cycle() {
+                if drawn >= 64 * NORMAL_REFILL {
+                    break;
+                }
+                let want = scalar_standard_normal(&mut rng);
+                assert_eq!(want, src.gaussian(1.0), "seed {seed}, normal {drawn}");
+                drawn += 1;
+                src.fill_gaussian(1.0, &mut buf[..len]);
+                for (k, &got) in buf[..len].iter().enumerate() {
+                    let want = scalar_standard_normal(&mut rng);
+                    assert_eq!(want, got, "seed {seed}, normal {}", drawn + k);
+                }
+                drawn += len;
+            }
+        }
+    }
+
+    /// A raw refill block whose angle draw `i` is `angle(i)`; the
+    /// magnitude draws never influence the order.
+    fn raw_with_angles(angle: impl Fn(usize) -> u64) -> [u64; 2 * NORMAL_REFILL] {
+        let mut raw = [0u64; 2 * NORMAL_REFILL];
+        for (i, pair) in raw.chunks_exact_mut(2).enumerate() {
+            pair[0] = 0x5555_5555_5555_5555 ^ i as u64;
+            pair[1] = angle(i);
+        }
+        raw
+    }
+
+    /// Runs [`angle_bucket_order`] and checks that the result is a
+    /// permutation of the batch indices, sorted by bucket and stable
+    /// within each bucket.
+    fn checked_order(raw: &[u64; 2 * NORMAL_REFILL]) -> [usize; NORMAL_REFILL] {
+        let mut order = [usize::MAX; NORMAL_REFILL];
+        angle_bucket_order(raw, &mut order);
+        let mut seen = [false; NORMAL_REFILL];
+        for &i in &order {
+            assert!(i < NORMAL_REFILL, "index {i} out of range");
+            assert!(!seen[i], "index {i} appears twice");
+            seen[i] = true;
+        }
+        for w in order.windows(2) {
+            let key = |i: usize| (angle_bucket(raw[2 * i + 1]), i);
+            assert!(key(w[0]) < key(w[1]), "{w:?} out of bucket order");
+        }
+        order
+    }
+
+    #[test]
+    fn bucket_order_keeps_draw_order_within_one_bucket() {
+        for angle in [0, 0x0123_4567_89AB_CDEF, u64::MAX] {
+            let order = checked_order(&raw_with_angles(|i| angle ^ i as u64));
+            assert!(order.iter().enumerate().all(|(k, &i)| k == i));
+        }
+    }
+
+    #[test]
+    fn bucket_order_splits_alternating_extremes() {
+        let order = checked_order(&raw_with_angles(|i| if i % 2 == 0 { 0 } else { u64::MAX }));
+        let (low, high) = order.split_at(NORMAL_REFILL / 2);
+        assert!(low.iter().enumerate().all(|(k, &i)| i == 2 * k));
+        assert!(high.iter().enumerate().all(|(k, &i)| i == 2 * k + 1));
+    }
+
+    #[test]
+    fn bucket_order_sorts_every_bucket() {
+        // Draw `i` lands in bucket `(i · 37) mod 64`, so every bucket is
+        // hit four times, in scrambled draw order.
+        let raw = raw_with_angles(|i| (((i * 37) % COS_BUCKETS) as u64) << 58 | i as u64);
+        let order = checked_order(&raw);
+        for (k, &i) in order.iter().enumerate() {
+            assert_eq!(
+                angle_bucket(raw[2 * i + 1]),
+                k / (NORMAL_REFILL / COS_BUCKETS)
+            );
         }
     }
 

@@ -127,11 +127,11 @@ impl JobRequest {
                 out.push(',');
             }
             out.push_str("{\"freq_hz\":");
-            write_f64(&mut out, m.frequency.value());
+            write_f64(&mut out, m.frequency().value());
             out.push_str(",\"min_db\":");
-            write_f64(&mut out, m.min_db);
+            write_f64(&mut out, m.min_db());
             out.push_str(",\"max_db\":");
-            write_f64(&mut out, m.max_db);
+            write_f64(&mut out, m.max_db());
             out.push('}');
         }
         out.push_str("]},\"schedule\":{\"stopping\":");

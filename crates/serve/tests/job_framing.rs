@@ -62,11 +62,10 @@ fn arb_request() -> impl Strategy<Value = JobRequest> {
         collection::vec((10.0f64..1.0e6, -60.0f64..0.0, 0.0f64..20.0), 1..4).prop_map(|points| {
             let mut mask = GainMask::new();
             for (freq, lo, spread) in points {
-                mask = mask.with_point(MaskPoint {
-                    frequency: Hertz(freq),
-                    min_db: lo,
-                    max_db: lo + spread,
-                });
+                mask = mask.with_point(
+                    MaskPoint::try_new(Hertz(freq), lo, lo + spread)
+                        .expect("positive frequency and ordered limits are valid"),
+                );
             }
             mask
         });

@@ -21,13 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for point in mask.points() {
         // Expected output level: stimulus ≈ 0.29 V scaled by the mask
         // center gain; plan for ±0.2 dB guaranteed accuracy.
-        let center_db = (point.min_db + point.max_db) / 2.0;
+        let center_db = (point.min_db() + point.max_db()) / 2.0;
         let expected = 0.29 * 10f64.powf(center_db / 20.0);
-        let plan = plan_measurement(expected, 0.2, point.frequency, 1.0)?;
+        let plan = plan_measurement(expected, 0.2, point.frequency(), 1.0)?;
         total += plan.test_time.value();
         println!(
             "{:>12.0} {:>14.4} {:>10} {:>14.2}",
-            point.frequency.value(),
+            point.frequency().value(),
             expected,
             plan.periods,
             plan.test_time.value() * 1e3

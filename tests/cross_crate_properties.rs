@@ -239,9 +239,9 @@ mod lot_properties {
                 }
                 let straddles = mask.points().iter().any(|mp| {
                     let p = d.plot.points().iter()
-                        .find(|p| p.frequency == mp.frequency)
+                        .find(|p| p.frequency == mp.frequency())
                         .expect("mask frequency was measured");
-                    p.gain_db.contains(mp.min_db) || p.gain_db.contains(mp.max_db)
+                    p.gain_db.contains(mp.min_db()) || p.gain_db.contains(mp.max_db())
                 });
                 prop_assert!(straddles,
                     "seed {} is Ambiguous but no enclosure straddles a limit", d.seed);
